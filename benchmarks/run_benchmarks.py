@@ -54,7 +54,6 @@ from repro.congest.scheduler import RandomDelayScheduler, draw_random_delays  # 
 from repro.graphs.generators import grid_graph, random_connected_graph  # noqa: E402
 from repro.graphs.lower_bound import lower_bound_instance  # noqa: E402
 from repro.shortcuts.distributed import build_distributed_kogan_parter  # noqa: E402
-from repro.shortcuts.kogan_parter import resolve_parameters  # noqa: E402
 from repro.shortcuts.partition import Partition  # noqa: E402
 
 
@@ -349,130 +348,15 @@ def _bench_scheduler_10k() -> dict:
     }
 
 
-# ----------------------------------------------------------------------
-# legacy dict-of-sets distributed driver (replica of the pre-CSR-mask
-# pipeline: per-part dict-of-sets adjacencies, analytic stage-2/5 charges)
-# — kept here only as the comparison baseline for distributed_10k
-# ----------------------------------------------------------------------
-def _legacy_seed_sampler(graph, partition, params, log_factor, rng):
-    """The seed repository's sampler loop: per-repetition edge-id set
-    inserts (the current sampler unions the repetitions vectorized, which
-    the dict-of-sets driver never had)."""
-    import numpy as np
-
-    from repro.shortcuts.shortcut import Shortcut
-
-    csr = graph.csr()
-    np_rng = np.random.default_rng(rng.getrandbits(64))
-    large = partition.large_part_indices(threshold=params.large_threshold)
-    subgraph_ids = [set() for _ in range(partition.num_parts)]
-    indptr, edge_ids = csr.indptr, csr.edge_ids
-    for i in range(partition.num_parts):
-        ids = subgraph_ids[i]
-        for u in partition.part(i):
-            ids.update(edge_ids[indptr[u]:indptr[u + 1]])
-    p = params.probability
-    num_directed = 2 * csr.num_edges
-    for part_idx in large:
-        ids = subgraph_ids[part_idx]
-        for rep in range(params.repetitions):
-            if p >= 1.0:
-                sampled = np.arange(num_directed, dtype=np.int64)
-            else:
-                sampled = np.flatnonzero(np_rng.random(num_directed) < p)
-            ids.update((sampled >> 1).tolist())
-    return Shortcut.from_edge_ids(partition, subgraph_ids), large
-
-
-def _legacy_dict_of_sets_driver(graph, partition, diameter_value, *,
-                                log_factor=0.25, depth_budget_factor=4.0,
-                                rng_seed=3) -> dict:
-    """One known-diameter construction with the seed driver's data layout."""
-    import math
-    import random
-
-    rng = random.Random(rng_seed)
-    n = graph.num_vertices
-    params = resolve_parameters(graph, diameter_value=diameter_value,
-                                log_factor=log_factor)
-    k_d = params.k_d
-    detection_depth = max(1, math.ceil(k_d))
-    depth_budget = max(detection_depth,
-                       math.ceil(depth_budget_factor * k_d * math.log(max(n, 2))))
-
-    network = Network(graph)
-    network.reset()
-    # Stage 1: dict-of-sets intra-part adjacency, O(n*degree) construction.
-    adjacency = {}
-    for idx in range(partition.num_parts):
-        part = partition.part(idx)
-        for u in part:
-            adjacency[u] = {v for v in graph.neighbors(u) if v in part}
-    bfs = DistributedBFS(set(partition.leaders()), allowed_adjacency=adjacency,
-                         max_depth=detection_depth, prefix="lp_")
-    detect_metrics = network.run(bfs, reset=False)
-    large = []
-    for idx in range(partition.num_parts):
-        for v in partition.part(idx):
-            if "lp_dist" not in network.node(v).state:
-                large.append(idx)
-                break
-    rounds = detect_metrics.rounds + detection_depth + 2
-    # Stage 2 was modelled analytically.
-    rounds += diameter_value + len(large)
-    shortcut, _ = _legacy_seed_sampler(graph, partition, params, log_factor, rng)
-    # Stage 4: per-part dict-of-sets augmented adjacencies under the
-    # generic random-delay scheduler.
-    if large:
-        subs = [
-            DistributedBFS({partition.leader(i)},
-                           allowed_adjacency=shortcut.augmented_adjacency(i),
-                           max_depth=depth_budget, prefix=f"sc{i}_",
-                           algorithm_id=order)
-            for order, i in enumerate(large)
-        ]
-        max_delay = max(1, math.ceil(k_d * math.log(max(n, 2))))
-        delays = draw_random_delays(len(subs), max_delay, rng)
-        scheduler = RandomDelayScheduler(subs, delays)
-        metrics = network.run(scheduler, reset=False, max_rounds=400_000)
-        rounds += metrics.rounds
-        # Stage 5 was a modelled convergecast plus a driver-side state scan.
-        spanning_ok = all(
-            f"sc{i}_dist" in network.node(v).state
-            for i in large for v in partition.part(i)
-        )
-        rounds += depth_budget + 2
-    else:
-        spanning_ok = True
-    return {"rounds": rounds, "spanning": spanning_ok}
-
-
 def _bench_distributed_10k() -> dict:
     """Full distributed construction on a ~10k-node lower-bound instance.
 
-    Times the CSR-mask pipeline (all five stages simulated) and, for the
-    committed snapshots, the legacy dict-of-sets driver on the same
-    instance — ``speedup_vs_legacy`` is the ratio the PR-over-PR history
-    tracks.  The two drivers are interleaved best-of-3 so a transient
-    machine hiccup in either lane cannot skew the recorded ratio.
-
-    Note the comparison is lopsided against the new pipeline: the legacy
-    driver *modelled* stages 2 and 5 with analytic round charges, so its
-    wall time never included them, while the new pipeline simulates all
-    five stages.  ``fleet_speedup_vs_legacy`` therefore also isolates the
-    stage the refactor actually replaced — the random-delay BFS fleet over
-    its allowed-subgraph views (dict-of-sets adjacency + generic scheduler
-    vs CSR link masks + ``ConcurrentMaskedBFS``) on one identical sampled
-    shortcut.
+    Times the CSR-mask pipeline with all five stages simulated, best of 3.
     """
-    import gc
-    import math
-    import random
-
     inst = lower_bound_instance(10_000, 6)
     partition = Partition(inst.graph, inst.parts, validate=False)
-    wall = legacy_wall = float("inf")
-    result = legacy = None
+    wall = float("inf")
+    result = None
     for _ in range(3):
         start = time.perf_counter()
         attempt = build_distributed_kogan_parter(
@@ -481,88 +365,11 @@ def _bench_distributed_10k() -> dict:
         elapsed = time.perf_counter() - start
         if elapsed < wall:
             wall, result = elapsed, attempt
-        start = time.perf_counter()
-        legacy_attempt = _legacy_dict_of_sets_driver(
-            inst.graph, partition, 6, log_factor=0.25, rng_seed=3,
-        )
-        elapsed = time.perf_counter() - start
-        if elapsed < legacy_wall:
-            legacy_wall, legacy = elapsed, legacy_attempt
-
-    # Stage-4 lane comparison on one shared sampled shortcut.
-    import numpy as np
-
-    from repro.congest.primitives.concurrent_bfs import ConcurrentMaskedBFS
-    from repro.graphs.csr import CSRLinkMask
-
-    graph = inst.graph
-    n = graph.num_vertices
-    params = resolve_parameters(graph, diameter_value=6, log_factor=0.25)
-    k_d = params.k_d
-    depth_budget = max(1, math.ceil(4.0 * k_d * math.log(n)))
-    shortcut, large = _legacy_seed_sampler(graph, partition, params, 0.25,
-                                           random.Random(3))
-    delays = draw_random_delays(
-        len(large), max(1, math.ceil(k_d * math.log(n))), random.Random(5))
-    csr = graph.csr()
-
-    def _gc_paused_run(network, algorithm) -> None:
-        # Both lanes run with the collector paused so the recorded ratio
-        # isolates the data-structure/algorithm change, not GC policy.
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            network.run(algorithm, reset=False, max_rounds=400_000)
-        finally:
-            if enabled:
-                gc.enable()
-
-    def fleet_new() -> float:
-        start = time.perf_counter()
-        # KP step 1 puts every part-incident edge in H_i, so the sampled
-        # edge ids alone describe the augmented subgraph (as the driver's
-        # own mask build exploits).
-        masks = [CSRLinkMask.from_edge_ids(csr, shortcut.subgraph_edge_id_array(i))
-                 for i in large]
-        network = Network(graph)
-        network.reset()
-        fleet = ConcurrentMaskedBFS(
-            [partition.leader(i) for i in large], masks, delays, depth_budget,
-            [f"sc{i}_" for i in large], n, suppress_parent_echo=True,
-        )
-        _gc_paused_run(network, fleet)
-        return time.perf_counter() - start
-
-    def fleet_legacy() -> float:
-        start = time.perf_counter()
-        network = Network(graph)
-        network.reset()
-        subs = [
-            DistributedBFS({partition.leader(i)},
-                           allowed_adjacency=shortcut.augmented_adjacency(i),
-                           max_depth=depth_budget, prefix=f"sc{i}_",
-                           algorithm_id=order)
-            for order, i in enumerate(large)
-        ]
-        _gc_paused_run(network, RandomDelayScheduler(subs, delays))
-        return time.perf_counter() - start
-
-    fleet_wall = legacy_fleet_wall = float("inf")
-    for _ in range(2):
-        fleet_wall = min(fleet_wall, fleet_new())
-        legacy_fleet_wall = min(legacy_fleet_wall, fleet_legacy())
-
     return {
         "wall_s": wall,
         "n": inst.graph.num_vertices,
         "rounds": result.total_rounds,
         "spanning": result.spanning_ok,
-        "legacy_wall_s": round(legacy_wall, 4),
-        "legacy_rounds": legacy["rounds"],
-        "speedup_vs_legacy": round(legacy_wall / wall, 2) if wall else 0.0,
-        "fleet_wall_s": round(fleet_wall, 4),
-        "legacy_fleet_wall_s": round(legacy_fleet_wall, 4),
-        "fleet_speedup_vs_legacy": round(legacy_fleet_wall / fleet_wall, 2),
     }
 
 

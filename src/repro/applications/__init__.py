@@ -8,7 +8,6 @@ application experiments (E6-E8) measure by swapping shortcut engines.
 
 from .aggregation import AggregationResult, estimate_aggregation_rounds, partwise_aggregate
 from .components import ComponentsResult, shortcut_connected_components
-from .distributed_mst import DistributedMSTResult, distributed_boruvka_mst
 from .mincut import (
     MinCutResult,
     approximate_min_cut,
@@ -52,8 +51,6 @@ __all__ = [
     "NO_CANDIDATE",
     "ShortcutMSTResult",
     "shortcut_boruvka_mst",
-    "DistributedMSTResult",
-    "distributed_boruvka_mst",
     "MSTResult",
     "ShortcutFactory",
     "boruvka_mst",

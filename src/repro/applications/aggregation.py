@@ -14,15 +14,14 @@ random-delay theorem.  The round complexity of the applications then follows
 by multiplying by their number of aggregation calls — which is exactly how
 Corollary 1.2 plugs Theorem 1.1 into [Gha17].
 
-Two execution modes are provided:
-
-* **analytic** (default): the aggregate values are computed directly and the
-  round cost is charged from the shortcut's measured quality using the
-  formula above.  This keeps the application experiments fast at the graph
-  sizes where dilation/congestion are interesting.
-* **simulated**: the BFS trees and convergecast/broadcast really run on the
-  CONGEST simulator under the random-delay scheduler and the measured round
-  count is returned.  Tests cross-check the two modes on small graphs.
+The cost here is **analytic**: the aggregate values are computed directly
+and the round cost is charged from the shortcut's measured quality using
+the formula above.  This keeps the application experiments fast at the
+graph sizes where dilation/congestion are interesting, and it is the
+oracle the simulated runtime
+(:func:`repro.congest.primitives.aggregation.aggregate_over_shortcut`,
+which routes the traffic on the CONGEST simulator and measures its
+rounds) is pinned against.
 """
 
 from __future__ import annotations
@@ -31,13 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from ..congest.network import Network
-from ..congest.primitives.bfs import DistributedBFS
-from ..congest.primitives.trees import TreeAggregate
-from ..congest.scheduler import RandomDelayScheduler, draw_random_delays
+from ..rng import RandomLike
 from ..shortcuts.shortcut import QualityReport, Shortcut
-
-from ..rng import RandomLike, ensure_rng
 
 _OPS: dict[str, Callable[[Any, Any], Any]] = {
     "min": min,
@@ -53,14 +47,11 @@ class AggregationResult:
     Attributes:
         values: map ``part index -> aggregated value`` (parts with no values
             are omitted).
-        rounds: round cost of the aggregation (charged analytically or
-            measured on the simulator, according to ``mode``).
-        mode: ``"analytic"`` or ``"simulated"``.
+        rounds: analytic round cost of the aggregation.
     """
 
     values: dict[int, Any]
     rounds: int
-    mode: str
 
 
 def estimate_aggregation_rounds(quality: QualityReport, n: int) -> int:
@@ -81,10 +72,7 @@ def partwise_aggregate(
     op: str = "min",
     *,
     quality: Optional[QualityReport] = None,
-    simulate: bool = False,
-    bandwidth: int = 1,
     rng: RandomLike = None,
-    max_rounds: int = 200_000,
 ) -> AggregationResult:
     """Aggregate ``node_values`` inside every part of ``shortcut``.
 
@@ -94,20 +82,15 @@ def partwise_aggregate(
             operator's identity (i.e. they are skipped).
         op: ``"min"``, ``"max"`` or ``"sum"``.
         quality: a pre-computed quality report (avoids re-measuring dilation
-            on every call in analytic mode).
-        simulate: run the real CONGEST simulation instead of the analytic
-            cost model.
-        bandwidth: CONGEST bandwidth for the simulated mode.
-        rng: randomness for the scheduler delays in simulated mode.
-        max_rounds: safety cap for the simulated mode.
+            on every call).
+        rng: randomness for the sampled dilation when ``quality`` is
+            omitted.
 
     Returns:
         An :class:`AggregationResult`.
     """
     if op not in _OPS:
         raise ValueError(f"unsupported aggregation op {op!r}")
-    if simulate:
-        return _simulate(shortcut, node_values, op, bandwidth=bandwidth, rng=rng, max_rounds=max_rounds)
     combine = _OPS[op]
     partition = shortcut.partition
     values: dict[int, Any] = {}
@@ -120,79 +103,9 @@ def partwise_aggregate(
         if acc is not None:
             values[idx] = acc
     if quality is None:
-        # Use the caller's rng for the sampled dilation too — analytic mode
-        # must be as reproducible as the simulated one.
+        # Use the caller's rng for the sampled dilation so the charged
+        # rounds are reproducible.
         quality = shortcut.quality_report(exact_dilation=False, rng=rng)
     rounds = estimate_aggregation_rounds(quality, partition.graph.num_vertices)
-    return AggregationResult(values=values, rounds=rounds, mode="analytic")
+    return AggregationResult(values=values, rounds=rounds)
 
-
-def _simulate(
-    shortcut: Shortcut,
-    node_values: dict[int, Any],
-    op: str,
-    *,
-    bandwidth: int,
-    rng: RandomLike,
-    max_rounds: int,
-) -> AggregationResult:
-    """Run the aggregation on the CONGEST simulator (both phases measured)."""
-    partition = shortcut.partition
-    graph = partition.graph
-    r = ensure_rng(rng)
-    network = Network(graph, bandwidth=bandwidth)
-    network.reset()
-    # Seed the node values into local state, keyed per part: relay nodes that
-    # participate in a part's tree without belonging to the part must not
-    # contribute a value to that part's aggregate.
-    for idx in range(partition.num_parts):
-        for v in partition.part(idx):
-            if v in node_values:
-                network.node(v).state[f"agg_input{idx}"] = node_values[v]
-
-    part_indices = list(range(partition.num_parts))
-    max_delay = max(1, len(part_indices) // 4)
-
-    # Phase 1: concurrent BFS trees over the augmented subgraphs.
-    bfs_algorithms = []
-    for order, idx in enumerate(part_indices):
-        adjacency = shortcut.augmented_adjacency(idx)
-        bfs_algorithms.append(
-            DistributedBFS(
-                {partition.leader(idx)},
-                allowed_adjacency=adjacency,
-                prefix=f"pa{idx}_",
-                algorithm_id=order,
-            )
-        )
-    delays = draw_random_delays(len(bfs_algorithms), max_delay, r)
-    bfs_metrics = network.run(
-        RandomDelayScheduler(bfs_algorithms, delays), reset=False, max_rounds=max_rounds
-    )
-
-    # Phase 2: concurrent convergecast + broadcast on those trees.
-    agg_algorithms = []
-    for order, idx in enumerate(part_indices):
-        agg_algorithms.append(
-            TreeAggregate(
-                op,
-                value_key=f"agg_input{idx}",
-                tree_prefix=f"pa{idx}_",
-                prefix=f"pares{idx}_",
-                broadcast_result=True,
-                algorithm_id=order,
-            )
-        )
-    delays = draw_random_delays(len(agg_algorithms), max_delay, r)
-    agg_metrics = network.run(
-        RandomDelayScheduler(agg_algorithms, delays), reset=False, max_rounds=max_rounds
-    )
-
-    values: dict[int, Any] = {}
-    for idx in part_indices:
-        leader = partition.leader(idx)
-        result = network.node(leader).state.get(f"pares{idx}_result")
-        if result is not None:
-            values[idx] = result
-    rounds = bfs_metrics.rounds + agg_metrics.rounds
-    return AggregationResult(values=values, rounds=rounds, mode="simulated")

@@ -27,10 +27,7 @@ promises — rounds saved by routing aggregates through shortcut edges.
 The reported rounds cover the aggregation runtime (the per-phase loop
 above); the cost of *constructing* each shortcut distributedly is measured
 separately by the E5/E13 pipeline experiments and is not double-charged
-here.  Relative to :mod:`repro.applications.distributed_mst` (the earlier
-E10 ablation), this consumer runs the aggregation itself on the engine's
-flat link-mask path and re-samples the shortcut from the real merged-part
-partition every phase instead of reusing ad-hoc adjacency dictionaries.
+here.
 """
 
 from __future__ import annotations
@@ -157,6 +154,7 @@ def shortcut_boruvka_mst(
     rng: RandomLike = None,
     max_rounds_per_phase: int = 200_000,
     max_phases: Optional[int] = None,
+    min_simulated_size: int = 2,
     drop_rate: float = 0.0,
     crashes: int = 0,
     adversary_seed: Optional[int] = None,
@@ -177,14 +175,22 @@ def shortcut_boruvka_mst(
         rng: randomness for the per-phase sampling and scheduler delays.
         max_rounds_per_phase: safety cap per simulated stage.
         max_phases: phase cap (default ``ceil(log2 n) + 2``).
+        min_simulated_size: smallest fragment whose aggregation runs on
+            the simulator; smaller ones are folded locally at zero rounds
+            (see :func:`~repro.congest.primitives.aggregation.
+            aggregate_over_shortcut`).  The default folds singletons; pass
+            ``1`` to simulate every fragment.
         drop_rate: Bernoulli message-drop probability per delivery; any
             positive rate turns on the retry/ack protocol stack (the MST
             stays exact — every phase completes correctly under loss).
         crashes: number of nodes to crash per phase, at adversarially
-            scheduled rounds.  Crashed nodes lose their state; a phase
-            whose aggregates are lost simply retries on the next phase
-            (everything is alive again between phases), so the run
-            degrades gracefully instead of failing.
+            scheduled rounds.  Crashed nodes lose their state, so the run
+            is no longer exact: a fragment whose aggregate is lost merges
+            nothing that phase (everything is alive again for the next
+            one), but a crash can also drop a subtree's candidates and
+            hand the leader a *partial* minimum, which merges along a
+            non-minimal edge and returns a tree heavier than Kruskal's.
+            E15 reports such runs as ``mst_ok=False`` rows.
         adversary_seed: base seed of all fault randomness (per-phase
             streams are derived from it; with ``None`` it is derived from
             an int ``rng`` seed, and required when ``rng`` is a generator
@@ -195,9 +201,10 @@ def shortcut_boruvka_mst(
             are enabled.
 
     Returns:
-        A :class:`ShortcutMSTResult`; the edge set equals the Kruskal MST
-        (pinned against the oracle by ``tests/test_shortcut_consumers.py``,
-        including under positive drop rates).
+        A :class:`ShortcutMSTResult`; without crashes the edge set equals
+        the Kruskal MST (pinned against the oracle by
+        ``tests/test_shortcut_consumers.py``, including under positive drop
+        rates).
     """
     if engine not in CONSUMER_ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {CONSUMER_ENGINES}")
@@ -263,6 +270,7 @@ def shortcut_boruvka_mst(
             shortcut, candidates, "min",
             network=network, identity=NO_CANDIDATE, rng=r,
             max_rounds=max_rounds_per_phase,
+            min_simulated_size=min_simulated_size,
             retry=retry if faulty else None, adversary=adversary,
         )
         # One extra round per phase for the neighbour fragment-id exchange
@@ -283,8 +291,10 @@ def shortcut_boruvka_mst(
                 merged_any = True
                 mst_edges.add(edge_key(u, v))
         # A fault-free phase with candidates but no merges cannot happen;
-        # under crashes it means the phase's aggregates were lost, and the
-        # remaining phase budget retries with everyone alive again.
+        # under crashes it means every aggregate was lost, and the next
+        # phase tries again with everyone alive.  (Crashes that only lose
+        # part of a subtree are not caught here: the leader then merges
+        # along its partial minimum and the tree may be non-minimal.)
         if not merged_any and not faulty:
             break
 

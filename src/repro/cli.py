@@ -11,10 +11,11 @@ writing a script:
 * ``mst``         — run Boruvka-over-shortcuts on a generated weighted
                     workload and report rounds / weight vs Kruskal
                     (``--engine shortcut``/``raw`` run the fully simulated
-                    consumer, ``analytic`` the charged-cost model);
+                    consumer, ``analytic`` the charged-cost model); exit
+                    code 1 when the weight differs from Kruskal's;
 * ``components``  — run the simulated connected-components consumer on a
-                    multi-piece workload and check its labels
-                    (``shortcut``/``mst``/``components`` all take
+                    multi-piece workload and check its labels (exit code 1
+                    on a mismatch; ``shortcut``/``mst``/``components`` all take
                     ``--drop-rate``/``--crash``/``--adversary-seed``
                     adversarial fault knobs);
 * ``generate``    — build a graph of a named family (``repro generate
@@ -337,13 +338,14 @@ def _command_mst(args: argparse.Namespace) -> int:
             adversary_seed=args.adversary_seed, recover_after=16,
         )
         rounds_label = "simulated rounds"
+    weights_match = abs(result.weight - kruskal_weight) < 1e-6
     print(f"MST weight      : {result.weight:.2f}")
     print(f"Kruskal weight  : {kruskal_weight:.2f}")
-    print(f"weights match   : {abs(result.weight - kruskal_weight) < 1e-6}")
+    print(f"weights match   : {weights_match}")
     print(f"phases          : {result.phases}")
     print(f"{rounds_label}: {result.total_rounds}")
     print(f"rounds per phase: {result.rounds_per_phase}")
-    return 0
+    return 0 if weights_match else 1
 
 
 def _disjoint_union_workload(family: str, n: int, pieces: int, seed: int) -> Graph:
@@ -375,11 +377,12 @@ def _command_components(args: argparse.Namespace) -> int:
           f"(n={graph.num_vertices}, m={graph.num_edges})")
     print(f"engine          : {args.engine}")
     print(f"components      : {result.num_components}")
-    print(f"labels match    : {got == expected}")
+    labels_match = got == expected
+    print(f"labels match    : {labels_match}")
     print(f"phases          : {result.phases}")
     print(f"simulated rounds: {result.total_rounds}")
     print(f"rounds per phase: {result.rounds_per_phase}")
-    return 0
+    return 0 if labels_match else 1
 
 
 def _command_generate(args: argparse.Namespace) -> int:

@@ -7,8 +7,7 @@ shortcut-augmented subgraph, and make the result known to the part*.  This
 module is the CONGEST runtime for that operation — the piece that actually
 routes aggregates through shortcut edges instead of charging their cost
 analytically (:func:`repro.applications.aggregation.partwise_aggregate`
-keeps the analytic model; its ``simulate=True`` mode predates this
-primitive and remains as the dict-of-sets reference).
+keeps the analytic model, the oracle this runtime is tested against).
 
 The execution is the paper's recipe, fully simulated and CSR-native:
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.applications import estimate_aggregation_rounds, partwise_aggregate
+from repro.congest.primitives.aggregation import aggregate_over_shortcut
 from repro.graphs import cluster_star_graph, cycle_graph, grid_graph
 from repro.shortcuts import Partition, Shortcut, build_kogan_parter_shortcut
 
@@ -23,7 +24,6 @@ class TestAnalyticAggregation:
         g, partition, shortcut = cluster_setup
         values = {v: float(v) for v in g.vertices()}
         result = partwise_aggregate(shortcut, values, op="min")
-        assert result.mode == "analytic"
         for idx in range(partition.num_parts):
             assert result.values[idx] == float(min(partition.part(idx)))
 
@@ -81,12 +81,14 @@ class TestEstimateRounds:
 
 
 class TestSimulatedAggregation:
+    """The CONGEST runtime reproduces the analytic oracle's values."""
+
     def test_simulated_matches_analytic_on_clusters(self, cluster_setup):
         g, partition, shortcut = cluster_setup
         values = {v: float(v) for v in g.vertices()}
         analytic = partwise_aggregate(shortcut, values, op="min")
-        simulated = partwise_aggregate(shortcut, values, op="min", simulate=True, rng=3)
-        assert simulated.mode == "simulated"
+        simulated = aggregate_over_shortcut(shortcut, values, "min", rng=3)
+        assert simulated.simulated_parts == list(range(partition.num_parts))
         assert simulated.values == analytic.values
         assert simulated.rounds > 0
 
@@ -99,12 +101,12 @@ class TestSimulatedAggregation:
         kp = build_kogan_parter_shortcut(g, partition, diameter_value=10, log_factor=0.3, rng=1)
         values = {v: float(v % 7) for v in g.vertices()}
         analytic = partwise_aggregate(kp.shortcut, values, op="min")
-        simulated = partwise_aggregate(kp.shortcut, values, op="min", simulate=True, rng=5)
+        simulated = aggregate_over_shortcut(kp.shortcut, values, "min", rng=5)
         assert simulated.values == analytic.values
 
     def test_simulated_sum(self, cluster_setup):
         g, partition, shortcut = cluster_setup
         values = {v: 2 for v in g.vertices()}
-        simulated = partwise_aggregate(shortcut, values, op="sum", simulate=True, rng=7)
+        simulated = aggregate_over_shortcut(shortcut, values, "sum", rng=7)
         for idx in range(partition.num_parts):
             assert simulated.values[idx] == 2 * len(partition.part(idx))

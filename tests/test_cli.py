@@ -228,6 +228,42 @@ class TestComponentsCommand:
         assert "--pieces" in capsys.readouterr().err
 
 
+class TestOracleMismatchExitCode:
+    """A failed oracle check is a failed run: the commands exit 1."""
+
+    def test_mst_weight_mismatch_exits_1(self, monkeypatch, capsys):
+        import dataclasses
+
+        import repro.cli as cli
+
+        real = cli.shortcut_boruvka_mst
+
+        def heavier(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return dataclasses.replace(result, weight=result.weight + 1.0)
+
+        monkeypatch.setattr(cli, "shortcut_boruvka_mst", heavier)
+        code = main(["mst", "--n", "60", "--engine", "shortcut", "--seed", "3"])
+        assert code == 1
+        assert "weights match   : False" in capsys.readouterr().out
+
+    def test_components_label_mismatch_exits_1(self, monkeypatch, capsys):
+        import dataclasses
+
+        import repro.cli as cli
+
+        real = cli.shortcut_connected_components
+
+        def merged(graph, **kwargs):
+            result = real(graph, **kwargs)
+            return dataclasses.replace(result, labels=[0] * graph.num_vertices)
+
+        monkeypatch.setattr(cli, "shortcut_connected_components", merged)
+        code = main(["components", "--n", "40", "--pieces", "2", "--seed", "3"])
+        assert code == 1
+        assert "labels match    : False" in capsys.readouterr().out
+
+
 class TestGenerateCommand:
     def test_prints_stats(self, capsys):
         code = main(["generate", "--family", "broom", "--n", "80", "--seed", "3"])

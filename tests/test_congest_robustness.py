@@ -21,6 +21,7 @@ from repro.congest import (
     draw_random_delays,
 )
 from repro.congest.primitives import DistributedBFS, extract_bfs_tree
+from repro.congest.primitives.aggregation import aggregate_over_shortcut
 from repro.graphs import bfs_distances, erdos_renyi_graph, grid_graph, path_graph
 from repro.shortcuts import Partition, build_kogan_parter_shortcut
 
@@ -79,8 +80,9 @@ class TestSimulatedAggregationConsistency:
         ).shortcut
         values = {v: float((v * 7) % 23) for v in lb_instance.graph.vertices()}
         analytic = partwise_aggregate(shortcut, values, op="min")
-        simulated = partwise_aggregate(
-            shortcut, values, op="min", simulate=True, bandwidth=bandwidth, rng=4
+        simulated = aggregate_over_shortcut(
+            shortcut, values, "min",
+            network=Network(lb_instance.graph, bandwidth=bandwidth), rng=4,
         )
         assert simulated.values == analytic.values
 

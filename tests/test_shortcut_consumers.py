@@ -19,12 +19,27 @@ from repro.applications.shortcut_mst import (
 from repro.graphs.components import connected_components
 from repro.graphs.generators import (
     GENERATOR_FAMILIES,
+    cycle_graph,
     disjoint_union,
+    grid_graph,
     make_family_graph,
     with_random_weights,
 )
 from repro.graphs.graph import Graph
 from repro.graphs.lower_bound import lower_bound_instance
+
+
+#: Fixed MST inputs beside the generator families: a grid and a cycle.
+_EXTRA_MST_INPUTS = {
+    "grid5x5": lambda: with_random_weights(grid_graph(5, 5), rng=1),
+    "cycle20": lambda: with_random_weights(cycle_graph(20), rng=6),
+}
+
+
+def _mst_input(name):
+    if name in _EXTRA_MST_INPUTS:
+        return _EXTRA_MST_INPUTS[name]()
+    return with_random_weights(make_family_graph(name, 70, rng=4), rng=11)
 
 
 def _components_of_labels(labels):
@@ -35,18 +50,19 @@ def _components_of_labels(labels):
 
 
 class TestShortcutMSTOracle:
-    @pytest.mark.parametrize("family", sorted(GENERATOR_FAMILIES))
+    @pytest.mark.parametrize("family", sorted(GENERATOR_FAMILIES) + sorted(_EXTRA_MST_INPUTS))
     @pytest.mark.parametrize("engine", CONSUMER_ENGINES)
     def test_every_family_matches_kruskal(self, family, engine):
-        graph = make_family_graph(family, 70, rng=4)
-        weighted = with_random_weights(graph, rng=11)
+        weighted = _mst_input(family)
         result = shortcut_boruvka_mst(weighted, engine=engine, rng=2)
         kruskal_edges, kruskal_weight = kruskal_mst(weighted)
         assert abs(result.weight - kruskal_weight) < 1e-9
         assert result.edges == sorted(kruskal_edges)
+        assert len(result.edges) == weighted.num_vertices - 1
         assert result.engine == engine
         assert result.phases == len(result.rounds_per_phase)
         assert result.total_rounds == sum(result.rounds_per_phase)
+        assert all(r > 0 for r in result.rounds_per_phase)
 
     def test_lower_bound_instance(self):
         inst = lower_bound_instance(200, 6)
@@ -55,6 +71,22 @@ class TestShortcutMSTOracle:
                                       diameter_value=inst.diameter, rng=3)
         _, kruskal_weight = kruskal_mst(weighted)
         assert abs(result.weight - kruskal_weight) < 1e-9
+
+    def test_shortcuts_help_on_long_fragment_instances(self):
+        """On the lower-bound topology fragments quickly become long paths.
+        With every fragment simulated, the shortcut-routed MWOE stage costs
+        at most a few rounds more per phase than raw fragment trees."""
+        inst = lower_bound_instance(120, 6)
+        weighted = with_random_weights(inst.graph, rng=10)
+        with_sc = shortcut_boruvka_mst(
+            weighted, engine="shortcut", diameter_value=6, log_factor=0.3,
+            min_simulated_size=1, rng=11,
+        )
+        without_sc = shortcut_boruvka_mst(
+            weighted, engine="raw", min_simulated_size=1, rng=12,
+        )
+        assert with_sc.weight == pytest.approx(without_sc.weight)
+        assert max(with_sc.rounds_per_phase) <= max(without_sc.rounds_per_phase) + 5
 
     def test_spanning_forest_on_disconnected_graph(self):
         blocks = [make_family_graph("torus", 40, rng=1),

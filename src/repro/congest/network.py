@@ -46,12 +46,23 @@ A round costs O(nodes-and-links-actually-touched), not O(n + links):
   guard proves it), so link queues are pass-through: sends land directly in
   the receiver's next-round inbox and the round flip is O(receivers) with
   no per-link delivery pass at all.  Multi-channel runs (the random-delay
-  scheduler) keep the metered ring path.
+  scheduler) keep the metered ring path, and so does a ``reset=False`` run
+  that starts with traffic in flight: the leftover messages move onto the
+  rings, where they share each link's bandwidth with the new run's sends.
 * **Timer protocol.**  An algorithm declaring ``wake_at_rounds`` (globally
   known deadlines, e.g. the scheduler's delay start rounds) lets waiting
   nodes halt instead of ticking no-op handlers: the engine revives every
   node exactly at the declared rounds and charges silent stretches between
   them without executing them, keeping the measured round count identical.
+
+Fault injection
+---------------
+``run(..., adversary=...)`` is a few branches of the same round loop, not a
+separate engine: the adversary's crash/recover schedule is applied before
+``initialize`` and at the start of each round (crashed nodes never run),
+its event rounds are forced rounds alongside the timers, and ring delivery
+asks its ``on_deliver`` to rule on each message.  With no faults the
+metrics are bit-identical to an adversary-free run.
 """
 
 from __future__ import annotations
@@ -341,36 +352,31 @@ class Network:
                 a follow-up algorithm that reads earlier algorithms' state;
                 nodes left halted by the earlier run stay halted until this
                 algorithm's ``initialize`` wakes them or a message arrives).
+                Messages a cut-off run left in flight are delivered first,
+                sharing each link's bandwidth with the new run's sends.
             adversary: optional :class:`~repro.congest.adversary.Adversary`
-                interposed on the delivery path (message drops/duplication/
-                latency/reordering and scheduled node crashes).  ``None``
-                keeps the fault-free fast path untouched; a no-fault
-                adversary produces bit-identical metrics through the
-                metered ring path.  A stalled adversarial run raises
-                :class:`PartialRunError` instead of the bare limit error.
+                interposed on ring delivery (message drops/duplication/
+                latency/reordering and scheduled node crashes; see "Fault
+                injection" in the module docstring).  A no-fault adversary
+                produces bit-identical metrics to ``None``.  A stalled
+                adversarial run raises :class:`PartialRunError` instead of
+                the bare limit error.
 
         Returns:
             The :class:`RunMetrics` of the run.
         """
-        if adversary is not None:
-            return self._run_adversarial(
-                algorithm,
-                adversary,
-                max_rounds=max_rounds,
-                raise_on_limit=raise_on_limit,
-                reset=reset,
-            )
         if reset and self._ran:
             self.reset()
         if getattr(algorithm, "bulk_capable", False):
-            bulk = self._try_bulk(algorithm, max_rounds, raise_on_limit)
+            bulk = self._try_bulk(algorithm, max_rounds, raise_on_limit, adversary)
             if bulk is not None:
                 return bulk
         metrics = RunMetrics()
         metrics._edge_counts = [0] * self._csr.num_edges
         metrics._edge_list = self._csr.edge_list
         # Sends enqueue without touching a counter; the send total is an
-        # invariant of the queues instead: sent = delivered + backlog growth.
+        # invariant of the queues instead: sent = delivered + dropped -
+        # duplicated + backlog growth.
         backlog_start = self._pending_backlog()
         self._ran = True
         self._structures_clean = False
@@ -380,22 +386,21 @@ class Network:
         # so every link queue is pass-through and messages can be placed
         # straight into the receivers' next-round inboxes — no per-link
         # delivery pass at all.  Multi-channel algorithms (the random-delay
-        # scheduler) and runs resuming with ring traffic use the ring path.
-        express = bool(getattr(algorithm, "single_channel", False)) and not self._active
-        if not express and self._pending_receivers:
+        # scheduler), adversarial runs (no per-message delivery point) and
+        # runs resuming with traffic in flight (it must meter the bandwidth
+        # this run's sends compete for) use the ring path.
+        express = (
+            adversary is None
+            and bool(getattr(algorithm, "single_channel", False))
+            and not self._active
+            and not self._pending_receivers
+        )
+        if self._pending_receivers:
             self._flush_pending_to_rings()
 
         nodes = self._node_list
         pending = self._pending if express else None
         edge_counts = metrics._edge_counts
-        if express and self._pending_receivers:
-            # Leftover express traffic from a cut-off run delivers during
-            # this run; credit it to this run's per-edge counters (its
-            # send-time counts were retracted when that run stopped).
-            out_links = self._out_links
-            for v in self._pending_receivers:
-                for m in self._pending[v]:
-                    edge_counts[out_links[m.sender][v] >> 1] += 1
         # Timer protocol (opt-in; see the module docstring of
         # repro.congest.algorithm): the algorithm declares the global rounds
         # at which every node must run, so waiting nodes can halt and the
@@ -412,9 +417,29 @@ class Network:
         # charging the remaining (provably no-op) checkpoints.
         timer_probe = getattr(algorithm, "pending_timer_work", None)
 
+        # Fault injection: crashed nodes never run, and the adversary's
+        # scheduled crash/recover rounds are forced rounds like timers.
+        crashed: set[int] = set()
+        on_deliver = None
+        event_rounds: tuple = ()
+        if adversary is not None:
+            on_deliver = adversary.on_deliver
+            adversary.reset(self)
+            event_rounds = tuple(adversary.event_rounds())
+            # Round-0 events: nodes crashed "before the run" never initialize.
+            events = adversary.begin_round(0)
+            if events:
+                self._apply_fault_events(events, algorithm, crashed, metrics)
+        num_events = len(event_rounds)
+        event_pos = 0
+        while event_pos < num_events and event_rounds[event_pos] <= 0:
+            event_pos += 1
+
         for ctx in nodes:
             ctx._express_pending = pending
             ctx._edge_counts = edge_counts
+            if ctx.node_id in crashed:
+                continue
             algorithm.initialize(ctx)
             ctx._sent_this_round.clear()
 
@@ -426,23 +451,16 @@ class Network:
         pending_receivers = self._pending_receivers
         while metrics.rounds < max_rounds:
             if not self._active and not pending_receivers and not awake:
-                timers_needed = timer_pos < num_timers
-                if timers_needed and timer_probe is not None and not timer_probe():
-                    timers_needed = False
-                if timers_needed:
-                    # Silent but not quiescent: a timer is still pending.
-                    # Every round before it provably executes nothing, so
-                    # charge the stretch in one step and run the timer round.
-                    jump = timers[timer_pos] - 1
-                    if jump > metrics.rounds:
-                        metrics.rounds = jump if jump < max_rounds else max_rounds
-                        if metrics.rounds >= max_rounds:
-                            continue
+                # Silent: the next round that can execute anything is a
+                # pending timer or a scheduled fault event.
+                if timer_pos < num_timers and (timer_probe is None or timer_probe()):
+                    forced = timers[timer_pos]
                 else:
-                    # Quiescent: no message in flight, every node halted.
                     if composed:
                         advanced = False
                         for ctx in nodes:
+                            if ctx.node_id in crashed:
+                                continue
                             if algorithm.advance_stage(ctx):
                                 advanced = True
                             ctx._sent_this_round.clear()
@@ -456,10 +474,31 @@ class Network:
                             if num_timers:
                                 algorithm.current_round = metrics.rounds
                             continue
+                    forced = None
+                # A recovery can re-inject work and a crash wipes observable
+                # state, so a quiescent run still plays its fault schedule out.
+                if event_pos < num_events and (
+                    forced is None or event_rounds[event_pos] < forced
+                ):
+                    forced = event_rounds[event_pos]
+                if forced is None:
+                    # Quiescent: no message in flight, every node halted.
                     metrics.terminated = True
-                    metrics.messages_sent = metrics.messages_delivered - backlog_start
+                    metrics.messages_sent = (
+                        metrics.messages_delivered
+                        + metrics.messages_dropped
+                        - metrics.messages_duplicated
+                        - backlog_start
+                    )
                     self._structures_clean = True
                     return metrics
+                # Every round before the forced one provably executes
+                # nothing: charge the stretch in one step and run it.
+                jump = forced - 1
+                if jump > metrics.rounds:
+                    metrics.rounds = jump if jump < max_rounds else max_rounds
+                    if metrics.rounds >= max_rounds:
+                        continue
 
             metrics.rounds += 1
             timer_fired = False
@@ -472,6 +511,12 @@ class Network:
                         timer_pos += 1
             elif num_timers:
                 algorithm.current_round = metrics.rounds
+            if adversary is not None:
+                while event_pos < num_events and event_rounds[event_pos] <= metrics.rounds:
+                    event_pos += 1
+                events = adversary.begin_round(metrics.rounds)
+                if events:
+                    self._apply_fault_events(events, algorithm, crashed, metrics)
             if express:
                 # Express flip: the pending lists ARE the inboxes; swap them
                 # with the (empty) inbox pool so both recycle with zero
@@ -490,14 +535,16 @@ class Network:
                 else:
                     receivers = ()
             else:
-                receivers = self._deliver(metrics)
+                receivers = self._deliver(metrics, on_deliver, crashed)
 
             # The ids to run this round, ascending (matching the legacy
             # full-scan order): awake nodes plus this round's receivers —
-            # or every node when a timer is due.  sorted() copies, so
+            # or every live node when a timer is due.  sorted() copies, so
             # handlers are free to halt()/wake().
             if timer_fired:
                 to_run = range(len(nodes))
+                if crashed:
+                    to_run = sorted(set(to_run) - crashed)
             elif not awake:
                 to_run = sorted(receivers)
             elif receivers:
@@ -526,7 +573,11 @@ class Network:
                 ctx._sent_this_round.clear()
 
         metrics.messages_sent = (
-            metrics.messages_delivered + self._pending_backlog() - backlog_start
+            metrics.messages_delivered
+            + metrics.messages_dropped
+            - metrics.messages_duplicated
+            + self._pending_backlog()
+            - backlog_start
         )
         if express and pending_receivers:
             # Count-at-send ran ahead of the legacy count-at-delivery
@@ -538,8 +589,15 @@ class Network:
         self._structures_clean = True
         metrics.terminated = False
         if raise_on_limit:
-            raise RoundLimitExceeded(
-                f"algorithm {algorithm.name!r} did not terminate within {max_rounds} rounds",
+            if adversary is None:
+                raise RoundLimitExceeded(
+                    f"algorithm {algorithm.name!r} did not terminate within {max_rounds} rounds",
+                    metrics=metrics,
+                    last_active_set=len(awake),
+                )
+            raise PartialRunError(
+                f"algorithm {algorithm.name!r} stalled under adversary "
+                f"{adversary.name!r}: no quiescence within {max_rounds} rounds",
                 metrics=metrics,
                 last_active_set=len(awake),
             )
@@ -559,17 +617,21 @@ class Network:
             stacklevel=4,
         )
 
-    def _try_bulk(self, algorithm, max_rounds: int, raise_on_limit: bool):
+    def _try_bulk(self, algorithm, max_rounds: int, raise_on_limit: bool, adversary):
         """Attempt a vectorized run; ``None`` means use the per-node path.
 
-        Declined configurations (retry mode) warn once per network so the
+        Declined configurations (retry mode, an adversary, whose delivery
+        interposition point is per-message) warn once per network so the
         de-optimization is observable; dirty queues and kernel build guards
         (packed-key overflow) fall back silently — they are per-run
         conditions, not configuration mistakes.
         """
         if not algorithm.bulk_supported():
-            if getattr(algorithm, "retry", None) is not None:
+            if adversary is None and getattr(algorithm, "retry", None) is not None:
                 self._warn_bulk_fallback(algorithm, "retry")
+            return None
+        if adversary is not None:
+            self._warn_bulk_fallback(algorithm, "adversary")
             return None
         if self._active or self._pending_receivers or not self._structures_clean:
             return None
@@ -620,203 +682,8 @@ class Network:
         return metrics
 
     # ------------------------------------------------------------------
-    # adversarial execution
+    # fault injection
     # ------------------------------------------------------------------
-    def _run_adversarial(
-        self,
-        algorithm: DistributedAlgorithm,
-        adversary,
-        *,
-        max_rounds: int,
-        raise_on_limit: bool,
-        reset: bool,
-    ) -> RunMetrics:
-        """The fault-injected twin of :meth:`run`.
-
-        Kept as a separate loop so the fault-free hot path stays untouched.
-        Differences from :meth:`run`:
-
-        * always the metered ring path — the express lane has no per-message
-          delivery point for the adversary to interpose on (the oracle suite
-          pins express ≡ ring metrics, so a no-fault adversary remains
-          bit-identical to an adversary-free run);
-        * ``adversary.begin_round`` is consulted every executed round and
-          its crash/recover schedule is merged into the silent-stretch
-          fast-forward, so a jump never skips over a scheduled fault;
-        * hitting ``max_rounds`` raises :class:`PartialRunError` carrying
-          the partial metrics.
-        """
-        if getattr(algorithm, "bulk_capable", False) and algorithm.bulk_supported():
-            # A bulk-eligible configuration takes the per-node path under an
-            # adversary (the delivery interposition point is per-message).
-            self._warn_bulk_fallback(algorithm, "adversary")
-        if reset and self._ran:
-            self.reset()
-        metrics = RunMetrics()
-        metrics._edge_counts = [0] * self._csr.num_edges
-        metrics._edge_list = self._csr.edge_list
-        backlog_start = self._pending_backlog()
-        self._ran = True
-        self._structures_clean = False
-        if self._pending_receivers:
-            self._flush_pending_to_rings()
-
-        adversary.reset(self)
-        event_rounds: tuple = tuple(adversary.event_rounds())
-        num_events = len(event_rounds)
-        event_pos = 0
-
-        nodes = self._node_list
-        edge_counts = metrics._edge_counts
-        timers: tuple = getattr(algorithm, "wake_at_rounds", ()) or ()
-        num_timers = len(timers)
-        timer_pos = 0
-        if num_timers:
-            algorithm.current_round = 0
-        timer_probe = getattr(algorithm, "pending_timer_work", None)
-
-        crashed: set[int] = set()
-        awake = self._awake
-        inbox_of = self._inbox_of
-
-        # Round-0 events: nodes crashed "before the run" never initialize.
-        events = adversary.begin_round(0)
-        if events:
-            self._apply_fault_events(events, algorithm, crashed, metrics)
-        while event_pos < num_events and event_rounds[event_pos] <= 0:
-            event_pos += 1
-
-        for ctx in nodes:
-            ctx._express_pending = None
-            ctx._edge_counts = edge_counts
-            if ctx.node_id in crashed:
-                continue
-            algorithm.initialize(ctx)
-            ctx._sent_this_round.clear()
-
-        composed = isinstance(algorithm, ComposedAlgorithm)
-        on_round = algorithm.on_round
-        pending_receivers = self._pending_receivers
-        num_nodes = len(nodes)
-
-        while metrics.rounds < max_rounds:
-            if not self._active and not pending_receivers and not awake:
-                timers_needed = timer_pos < num_timers
-                if timers_needed and timer_probe is not None and not timer_probe():
-                    timers_needed = False
-                if timers_needed:
-                    # Jump to the next forced round: the earlier of the next
-                    # algorithm timer and the next scheduled fault event.
-                    forced = timers[timer_pos]
-                    if event_pos < num_events and event_rounds[event_pos] < forced:
-                        forced = event_rounds[event_pos]
-                    jump = forced - 1
-                    if jump > metrics.rounds:
-                        metrics.rounds = jump if jump < max_rounds else max_rounds
-                        if metrics.rounds >= max_rounds:
-                            continue
-                else:
-                    if composed:
-                        advanced = False
-                        for ctx in nodes:
-                            if ctx.node_id in crashed:
-                                continue
-                            if algorithm.advance_stage(ctx):
-                                advanced = True
-                            ctx._sent_this_round.clear()
-                        if advanced:
-                            timers = algorithm.rebase_timers(metrics.rounds)
-                            num_timers = len(timers)
-                            timer_pos = 0
-                            if num_timers:
-                                algorithm.current_round = metrics.rounds
-                            continue
-                    if event_pos < num_events:
-                        # Quiescent, but faults are still scheduled — a
-                        # recovery can re-inject work and a crash wipes
-                        # observable state, so the schedule must play out.
-                        jump = event_rounds[event_pos] - 1
-                        if jump > metrics.rounds:
-                            metrics.rounds = jump if jump < max_rounds else max_rounds
-                            if metrics.rounds >= max_rounds:
-                                continue
-                    else:
-                        metrics.terminated = True
-                        metrics.messages_sent = (
-                            metrics.messages_delivered
-                            + metrics.messages_dropped
-                            - metrics.messages_duplicated
-                            - backlog_start
-                        )
-                        self._structures_clean = True
-                        return metrics
-
-            metrics.rounds += 1
-            round_no = metrics.rounds
-            timer_fired = False
-            if timer_pos < num_timers:
-                algorithm.current_round = round_no
-                if timers[timer_pos] <= round_no:
-                    timer_fired = True
-                    timer_pos += 1
-                    while timer_pos < num_timers and timers[timer_pos] <= round_no:
-                        timer_pos += 1
-            elif num_timers:
-                algorithm.current_round = round_no
-            while event_pos < num_events and event_rounds[event_pos] <= round_no:
-                event_pos += 1
-            events = adversary.begin_round(round_no)
-            if events:
-                self._apply_fault_events(events, algorithm, crashed, metrics)
-
-            receivers = self._deliver_adversarial(metrics, adversary, round_no, crashed)
-
-            if timer_fired:
-                to_run = (
-                    range(num_nodes)
-                    if not crashed
-                    else sorted(set(range(num_nodes)) - crashed)
-                )
-            elif not awake:
-                to_run = sorted(receivers)
-            elif receivers:
-                to_run = sorted(awake.union(receivers))
-            else:
-                to_run = sorted(awake)
-            for v in to_run:
-                ctx = nodes[v]
-                inbox = inbox_of[v]
-                if inbox:
-                    if ctx.halted:
-                        ctx.halted = False
-                        on_round(ctx, inbox)
-                        if not ctx.halted:
-                            awake.add(v)
-                    else:
-                        on_round(ctx, inbox)
-                    inbox.clear()
-                else:
-                    on_round(ctx, _NO_MESSAGES)
-                ctx._sent_this_round.clear()
-
-        metrics.messages_sent = (
-            metrics.messages_delivered
-            + metrics.messages_dropped
-            - metrics.messages_duplicated
-            + self._pending_backlog()
-            - backlog_start
-        )
-        self._structures_clean = True
-        metrics.terminated = False
-        if raise_on_limit:
-            raise PartialRunError(
-                f"algorithm {algorithm.name!r} stalled under adversary "
-                f"{adversary.name!r}: no quiescence within {max_rounds} rounds",
-                metrics=metrics,
-                last_active_set=len(awake),
-            )
-        return metrics
-
     def _apply_fault_events(self, events, algorithm, crashed: set, metrics: RunMetrics) -> None:
         """Apply one round's crash/recover events from the adversary."""
         nodes = self._node_list
@@ -852,17 +719,60 @@ class Network:
             else:
                 raise ValueError(f"unknown adversary event kind {kind!r}")
 
-    def _deliver_adversarial(
-        self, metrics: RunMetrics, adversary, round_no: int, crashed: set
-    ) -> list[int]:
-        """Ring delivery with the adversary interposed on every message.
+    # ------------------------------------------------------------------
+    # internals
+    # ------------------------------------------------------------------
+    def _pending_backlog(self) -> int:
+        """Messages queued but undelivered (O(active links + pending nodes))."""
+        queues = self._queues
+        heads = self._heads
+        total = sum(len(queues[link]) - heads[link] for link in self._active)
+        if self._pending_receivers:
+            pending = self._pending
+            total += sum(len(pending[v]) for v in self._pending_receivers)
+        return total
 
-        Mirrors :meth:`_deliver` message for message: a no-fault adversary
-        yields identical inbox contents, ordering and metrics.  ``DROP``
-        consumes the message (it occupied the link); ``DUPLICATE`` delivers
-        two copies in the same round; ``HOLD`` freezes the link's queue for
-        this round (FIFO preserved); messages to crashed nodes are
-        discarded and counted as dropped.
+    def _flush_pending_to_rings(self) -> None:
+        """Move leftover express traffic onto the ring buffers.
+
+        Needed when a run is cut off by ``max_rounds`` with express messages
+        still in flight and any algorithm follows with ``reset=False``: the
+        ring path then delivers them in FIFO order, ahead of the follow-up
+        run's own sends on the same links.
+        """
+        out_links = self._out_links
+        queues = self._queues
+        heads = self._heads
+        link_max = self._link_max_backlog
+        is_active = self._is_active
+        active = self._active
+        pending = self._pending
+        for v in self._pending_receivers:
+            plist = pending[v]
+            for m in plist:
+                link = out_links[m.sender][v]
+                buf = queues[link]
+                buf.append(m)
+                backlog = len(buf) - heads[link]
+                if backlog > 1 and backlog > link_max[link]:
+                    link_max[link] = backlog
+                if not is_active[link]:
+                    is_active[link] = 1
+                    active.append(link)
+            plist.clear()
+        self._pending_receivers.clear()
+
+    def _deliver(self, metrics: RunMetrics, on_deliver, crashed: set) -> list[int]:
+        """Deliver one round of traffic into the pooled inboxes.
+
+        Returns the ids of the nodes that received at least one message.
+        Only links on the active worklist are visited.  Fault-free runs
+        (``on_deliver`` is ``None``) move each link's quota as one slice.
+        Otherwise the adversary's ``on_deliver(link, message, round)``
+        rules on every message: ``DROP`` consumes it (it occupied the link);
+        ``DUPLICATE`` delivers two copies in the same round; ``HOLD``
+        freezes the link's queue for this round (FIFO preserved); messages
+        to ``crashed`` nodes are discarded and counted as dropped.
         """
         active = self._active
         receivers: list[int] = []
@@ -876,7 +786,7 @@ class Network:
         edge_counts = metrics._edge_counts
         inbox_of = self._inbox_of
         is_active = self._is_active
-        on_deliver = adversary.on_deliver
+        round_no = metrics.rounds
         max_backlog = metrics.max_link_backlog
         still_active: list[int] = []
         delivered = 0
@@ -887,35 +797,48 @@ class Network:
             head = heads[link]
             size = len(buf)
             receiver = receiver_of[link]
-            edge = link >> 1
-            receiver_crashed = receiver in crashed
             inbox = inbox_of[receiver]
             had_mail = bool(inbox)
-            quota = bandwidth
-            while quota and head < size:
-                msg = buf[head]
-                if receiver_crashed:
+            if on_deliver is None:
+                backlog = size - head
+                take = backlog if backlog <= bandwidth else bandwidth
+                if take == 1:
+                    inbox.append(buf[head])
+                elif head or take < backlog:
+                    inbox.extend(buf[head:head + take])
+                else:
+                    inbox.extend(buf)
+                head += take
+                delivered += take
+                edge_counts[link >> 1] += take
+            else:
+                edge = link >> 1
+                receiver_crashed = receiver in crashed
+                quota = bandwidth
+                while quota and head < size:
+                    msg = buf[head]
+                    if receiver_crashed:
+                        head += 1
+                        quota -= 1
+                        edge_counts[edge] += 1
+                        dropped += 1
+                        continue
+                    action = on_deliver(link, msg, round_no)
+                    if action == 3:  # HOLD: freeze this link for the round
+                        break
                     head += 1
                     quota -= 1
                     edge_counts[edge] += 1
-                    dropped += 1
-                    continue
-                action = on_deliver(link, msg, round_no)
-                if action == 3:  # HOLD: freeze this link for the round
-                    break
-                head += 1
-                quota -= 1
-                edge_counts[edge] += 1
-                if action == 1:  # DROP
-                    dropped += 1
-                    continue
-                if action == 2:  # DUPLICATE
+                    if action == 1:  # DROP
+                        dropped += 1
+                        continue
+                    if action == 2:  # DUPLICATE
+                        inbox.append(msg)
+                        edge_counts[edge] += 1
+                        delivered += 1
+                        duplicated += 1
                     inbox.append(msg)
-                    edge_counts[edge] += 1
                     delivered += 1
-                    duplicated += 1
-                inbox.append(msg)
-                delivered += 1
             if head >= size:
                 buf.clear()
                 if heads[link]:
@@ -940,117 +863,6 @@ class Network:
         metrics.messages_delivered += delivered
         metrics.messages_dropped += dropped
         metrics.messages_duplicated += duplicated
-        active[:] = still_active
-        return receivers
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _pending_backlog(self) -> int:
-        """Messages queued but undelivered (O(active links + pending nodes))."""
-        queues = self._queues
-        heads = self._heads
-        total = sum(len(queues[link]) - heads[link] for link in self._active)
-        if self._pending_receivers:
-            pending = self._pending
-            total += sum(len(pending[v]) for v in self._pending_receivers)
-        return total
-
-    def _flush_pending_to_rings(self) -> None:
-        """Move leftover express traffic onto the ring buffers.
-
-        Only needed when a run is cut off by ``max_rounds`` with express
-        messages still in flight and a multi-channel algorithm follows with
-        ``reset=False``; the ring path then delivers them in FIFO order.
-        """
-        out_links = self._out_links
-        queues = self._queues
-        heads = self._heads
-        link_max = self._link_max_backlog
-        is_active = self._is_active
-        active = self._active
-        pending = self._pending
-        for v in self._pending_receivers:
-            plist = pending[v]
-            for m in plist:
-                link = out_links[m.sender][v]
-                buf = queues[link]
-                buf.append(m)
-                backlog = len(buf) - heads[link]
-                if backlog > 1 and backlog > link_max[link]:
-                    link_max[link] = backlog
-                if not is_active[link]:
-                    is_active[link] = 1
-                    active.append(link)
-            plist.clear()
-        self._pending_receivers.clear()
-
-    def _deliver(self, metrics: RunMetrics) -> list[int]:
-        """Deliver one round of traffic into the pooled inboxes.
-
-        Returns the ids of the nodes that received at least one message.
-        Only links on the active worklist are visited.
-        """
-        active = self._active
-        receivers: list[int] = []
-        if not active:
-            return receivers
-        bandwidth = self.bandwidth
-        queues = self._queues
-        heads = self._heads
-        receiver_of = self._receiver_of
-        link_max = self._link_max_backlog
-        edge_counts = metrics._edge_counts
-        inbox_of = self._inbox_of
-        is_active = self._is_active
-        max_backlog = metrics.max_link_backlog
-        still_active: list[int] = []
-        delivered = 0
-        for link in active:
-            buf = queues[link]
-            head = heads[link]
-            size = len(buf)
-            receiver = receiver_of[link]
-            inbox = inbox_of[receiver]
-            if not inbox:
-                receivers.append(receiver)
-            backlog = size - head
-            if backlog <= bandwidth:
-                # Common case: the whole queue fits in one round (with unit
-                # bandwidth this is the only uncongested shape).
-                if backlog == 1:
-                    inbox.append(buf[head])
-                else:
-                    inbox.extend(buf[head:] if head else buf)
-                take = backlog
-                buf.clear()
-                if head:
-                    heads[link] = 0
-                is_active[link] = 0
-            else:
-                take = bandwidth
-                if take == 1:
-                    inbox.append(buf[head])
-                else:
-                    inbox.extend(buf[head:head + take])
-                head += take
-                if head > 64 and head * 2 >= size:
-                    del buf[:head]
-                    head = 0
-                heads[link] = head
-                still_active.append(link)
-
-            delivered += take
-            edge_counts[link >> 1] += take
-            lm = link_max[link]
-            if lm > max_backlog:
-                max_backlog = lm
-        if not max_backlog:
-            # Senders only record backlogs above 1; any delivery implies a
-            # backlog of at least 1 was observed.
-            max_backlog = 1
-        metrics.max_link_backlog = max_backlog
-        metrics.messages_delivered += delivered
         # In-place so the wired NodeContexts' cached reference stays valid.
         active[:] = still_active
         return receivers

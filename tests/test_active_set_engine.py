@@ -510,6 +510,23 @@ class TestResetFalseComposition:
         assert not net.node(1).halted
         assert 1 in net._awake
 
+    @pytest.mark.parametrize("bulk", [True, False])
+    def test_resumed_express_traffic_shares_link_bandwidth(self, bulk, monkeypatch):
+        # The cut-off run leaves FloodMax's 0 -> 1 message in flight; the
+        # resume's initialize re-sends behind it on the same bandwidth-1
+        # link, so the two cross in consecutive rounds (backlog 2), never
+        # both in one round.
+        monkeypatch.setattr(FloodMax, "bulk_capable", bulk)
+        net = Network(path_graph(2))
+        algorithm = FloodMax()
+        net.run(algorithm, max_rounds=1, raise_on_limit=False)
+        resumed = net.run(algorithm, reset=False)
+        assert resumed.terminated
+        assert resumed.rounds == 3
+        assert resumed.max_link_backlog == 2
+        assert resumed.messages_delivered == 4
+        assert read_leaders(net) == {0: 1, 1: 1}
+
     def test_express_then_ring_composition(self):
         # A single-channel (express) run followed by a multi-channel (ring)
         # scheduler run on the same un-reset network.

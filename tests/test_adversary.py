@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.congest import (
     Adversary,
     AsyncScheduler,
+    ComposedAlgorithm,
     CrashAdversary,
     DropAdversary,
     DuplicateAdversary,
@@ -39,7 +40,11 @@ from repro.congest import (
 )
 from repro.congest.adversary import RetryPolicy, random_crash_schedule
 from repro.congest.primitives import DistributedBFS, extract_bfs_tree
+from repro.congest.primitives.aggregation import aggregate_over_shortcut
+from repro.congest.primitives.leader import FloodMax
 from repro.graphs import bfs_distances, grid_graph, path_graph
+from repro.graphs.lower_bound import lower_bound_instance
+from repro.shortcuts import Partition, build_kogan_parter_shortcut
 from repro.rng import derive_seed
 
 pytestmark = pytest.mark.faults
@@ -52,20 +57,45 @@ def _metric_tuple(metrics):
         metrics.messages_delivered,
         metrics.messages_dropped,
         metrics.messages_duplicated,
+        metrics.max_link_backlog,
+        metrics.terminated,
         dict(metrics.per_edge_messages),
     )
+
+
+def _fleet():
+    algos = [
+        DistributedBFS({7 * i}, prefix=f"f{i}_", algorithm_id=i)
+        for i in range(4)
+    ]
+    return RandomDelayScheduler(algos, [0, 2, 5, 9])
 
 
 class TestIdentityPins:
     """NullAdversary / zero-rate runs are bit-identical to clean runs."""
 
-    def _clean_vs(self, adversary, make_algorithm):
+    def _clean_vs(self, adversary, make_algorithm, *, bandwidth=1, cutoff=None):
+        """Compare a clean run with an adversarial one on a 6x6 grid.
+
+        With ``cutoff``, each side first runs to ``max_rounds=cutoff`` and
+        then resumes the same algorithm object with ``reset=False``, so
+        the traffic left in flight is delivered by the resumed run.
+        """
         g = grid_graph(6, 6)
-        clean_net = Network(g)
-        clean = clean_net.run(make_algorithm())
-        adv_net = Network(g)
-        shadowed = adv_net.run(make_algorithm(), adversary=adversary)
-        assert _metric_tuple(clean) == _metric_tuple(shadowed)
+        nets, runs = [], []
+        for adv in (None, adversary):
+            net = Network(g, bandwidth=bandwidth)
+            algorithm = make_algorithm()
+            metrics = []
+            if cutoff is not None:
+                metrics.append(net.run(
+                    algorithm, max_rounds=cutoff, raise_on_limit=False, adversary=adv
+                ))
+            metrics.append(net.run(algorithm, reset=cutoff is None, adversary=adv))
+            nets.append(net)
+            runs.append(metrics)
+        clean_net, adv_net = nets
+        assert [_metric_tuple(m) for m in runs[0]] == [_metric_tuple(m) for m in runs[1]]
 
         def visible(state):
             # The BFS caches its filtered neighbour list keyed by its own
@@ -74,7 +104,7 @@ class TestIdentityPins:
 
         for v in range(g.num_vertices):
             assert visible(clean_net.node(v).state) == visible(adv_net.node(v).state)
-        return clean
+        return runs[0][-1]
 
     def test_null_adversary_bfs(self):
         clean = self._clean_vs(NullAdversary(), lambda: DistributedBFS({0}))
@@ -86,15 +116,46 @@ class TestIdentityPins:
     def test_zero_delay_latency_adversary_bfs(self):
         self._clean_vs(LatencyAdversary(0, seed=3), lambda: DistributedBFS({0}))
 
-    def test_null_adversary_scheduler_fleet(self):
-        def fleet():
-            algos = [
-                DistributedBFS({7 * i}, prefix=f"f{i}_", algorithm_id=i)
-                for i in range(4)
-            ]
-            return RandomDelayScheduler(algos, [0, 2, 5, 9])
+    @pytest.mark.parametrize("bandwidth", [1, 2, 3])
+    def test_null_adversary_scheduler_fleet(self, bandwidth):
+        self._clean_vs(NullAdversary(), _fleet, bandwidth=bandwidth)
 
-        self._clean_vs(NullAdversary(), fleet)
+    @pytest.mark.parametrize(
+        "stages",
+        [
+            pytest.param(lambda: [FloodMax(), _fleet()], id="floodmax-scheduler"),
+            pytest.param(lambda: [_fleet(), FloodMax()], id="scheduler-floodmax"),
+            pytest.param(lambda: [FloodMax(), DistributedBFS({0})], id="floodmax-bfs"),
+        ],
+    )
+    def test_null_adversary_composed(self, stages):
+        self._clean_vs(NullAdversary(), lambda: ComposedAlgorithm(stages()))
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "make_algorithm",
+        [
+            pytest.param(lambda: DistributedBFS({0}), id="bfs"),
+            pytest.param(FloodMax, id="floodmax"),
+            pytest.param(_fleet, id="scheduler"),
+        ],
+    )
+    def test_null_adversary_cutoff_resume(self, make_algorithm, cutoff):
+        self._clean_vs(NullAdversary(), make_algorithm, cutoff=cutoff)
+
+    def test_null_adversary_shortcut_aggregation(self):
+        instance = lower_bound_instance(150, 6)
+        g = instance.graph
+        shortcut = build_kogan_parter_shortcut(
+            g, Partition(g, instance.parts), diameter_value=6, log_factor=0.3, rng=2
+        ).shortcut
+        values = {v: (v * 7) % 23 for v in g.vertices()}
+        outcomes = [
+            aggregate_over_shortcut(shortcut, values, "min", rng=4, adversary=adv)
+            for adv in (None, NullAdversary())
+        ]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0].simulated_parts
 
     def test_retry_mode_null_adversary_matches_no_adversary(self):
         # The retry protocol itself is deterministic: with no faults to

@@ -280,8 +280,10 @@ def test_retry_config_warns_once_per_network(bulk_toggle):
     g = family_graph("hub")
     masks, roots, values = label_masks(g)
     net, agg = _retry_aggregation(g, masks, roots, values)
-    with pytest.warns(BulkFallbackWarning, match="retry"):
+    with pytest.warns(BulkFallbackWarning, match="retry") as record:
         net.run(agg, reset=False, max_rounds=200_000)
+    # The warning points at the caller of Network.run, not engine internals.
+    assert record.pop(BulkFallbackWarning).filename == __file__
     # Same network, same reason: the fallback stays silent the second time.
     _, agg2 = _retry_aggregation(g, masks, roots, values)
     with warnings.catch_warnings():
@@ -299,8 +301,9 @@ def test_adversarial_run_warns_and_matches_fault_free_per_node(bulk_toggle):
     g = family_graph("broom")
     adversary = make_fault_adversary(0.2, 0, seed=13)
     net = Network(g)
-    with pytest.warns(BulkFallbackWarning, match="adversary"):
+    with pytest.warns(BulkFallbackWarning, match="adversary") as record:
         net.run(FloodMax(), adversary=adversary, max_rounds=500)
+    assert record.pop(BulkFallbackWarning).filename == __file__
     with warnings.catch_warnings():
         warnings.simplefilter("error", BulkFallbackWarning)
         net.run(FloodMax(prefix="second_"), adversary=adversary,

@@ -217,7 +217,9 @@ def shortcut_boruvka_mst(
         max_phases = math.ceil(math.log2(max(n, 2))) + 2
     if diameter_value is None and engine == "shortcut":
         # Double-sweep 2-approximation: any D in [D/2, D] parameterizes the
-        # construction soundly, and the exact scan is O(n·m).
+        # construction soundly.  It stays the default (not exact=True)
+        # because D sets the KP sampling parameters: measuring it exactly
+        # would change the seeded parameters and every round/message count.
         diameter_value = max_component_diameter(graph, exact=False)
 
     faulty = drop_rate > 0.0 or crashes > 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .graph import Graph, WeightedGraph
-from .traversal import diameter, diameter_lower_bound_double_sweep, is_connected
+from .traversal import INFINITY, bfs_distances, diameter, is_connected
 
 from ..rng import RandomLike, ensure_rng as _rng
 
@@ -323,11 +323,12 @@ def hub_diameter_graph(
     Construction: a "backbone" path ``b_0 - b_1 - ... - b_D`` of
     ``target_diameter + 1`` hub vertices fixes the diameter from below; every
     other vertex attaches to one of the interior hubs plus (optionally) a few
-    random chords, which keeps the diameter from exceeding the target.  The
-    exact diameter is verified with a double sweep plus an exact check and,
-    if the target is missed (possible when ``extra_edge_prob`` shrinks the
-    backbone distance), extra chords incident to the backbone endpoints are
-    removed until the target is met.
+    random chords between vertices on the same or adjacent hubs.  Hanging
+    every vertex off an interior hub caps all distances at the target, and
+    a chord advances at most one backbone position, so no chord chain can
+    shorten the backbone path: the diameter is exactly the target by
+    construction.  The exact diameter and the backbone endpoints' distance
+    are still verified, and a miss raises :class:`ValueError`.
 
     This is the workhorse "benign" family for the quality experiments:
     constant diameter, linear number of vertices hanging off a small core.
@@ -477,20 +478,28 @@ def _ensure_exact_diameter(g: Graph, target: int, witnesses: list[int]) -> None:
 
     ``witnesses`` should contain two vertices at distance ``target`` by
     construction; the function verifies connectivity, that no pair exceeds
-    the target, and that the witness pair achieves it.
+    the target, and that the witness pair achieves it.  One exact
+    :func:`~repro.graphs.traversal.diameter` call covers the first two (a
+    handful of BFS runs on these families), plus one BFS from the first
+    witness.
 
     Raises:
         ValueError: if the construction missed the target (callers treat this
             as a programming error in the generator, not a user error).
     """
-    if not is_connected(g):
-        raise ValueError("generated graph is disconnected")
-    lower = diameter_lower_bound_double_sweep(g, start=witnesses[0])
-    if lower > target:
-        raise ValueError(f"generated graph has diameter > {target}")
     exact = diameter(g)
+    if exact == INFINITY:
+        raise ValueError("generated graph is disconnected")
+    if exact > target:
+        raise ValueError(f"generated graph has diameter > {target}")
     if exact != target:
         raise ValueError(f"generated graph has diameter {exact}, wanted {target}")
+    source, sink = witnesses[0], witnesses[-1]
+    reached = bfs_distances(g, source).get(sink)
+    if reached != target:
+        raise ValueError(
+            f"witnesses {source} and {sink} are at distance {reached}, wanted {target}"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -24,10 +24,12 @@ results (pinned by ``tests/test_csr.py``).
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from typing import Optional
 
-from .csr import bfs_levels, bfs_parents
+import numpy as np
+
+from .csr import UNREACHED, bfs_levels, bfs_parents
 from .graph import Graph, Subgraph
 
 #: Distance value used for unreachable vertices.
@@ -190,6 +192,20 @@ def diameter(
 ) -> float:
     """Return the (hop) diameter over a vertex set.
 
+    Runs Takes & Kosters' *BoundingDiameters* (2011) instead of one BFS per
+    vertex: every target vertex keeps an eccentricity lower and upper bound,
+    and each BFS from a vertex ``v`` with eccentricity ``e`` tightens them for
+    every target ``w`` via ``max(d, e - d) <= ecc(w) <= e + d`` with
+    ``d = dist(v, w)``.  Sources alternate between the candidate with the
+    highest upper bound and the one with the lowest lower bound (ties go to
+    the higher degree); candidates that can no longer move either diameter
+    bound are pruned, and the loop stops when the two bounds meet.  On the
+    constant-diameter families a handful of BFS runs suffices.  Each BFS
+    fixes its source's eccentricity, so the worst case is one BFS per
+    target vertex — which vertex-transitive graphs (cycles, tori) reach,
+    since every vertex has the same eccentricity and nothing gets pruned
+    early.
+
     Args:
         graph: graph to measure.
         vertices: the vertices whose pairwise distances are maximized.  For a
@@ -197,6 +213,7 @@ def diameter(
             :class:`Subgraph` the default is its present vertex set.
         allowed: optional restriction on which vertices traversals may use
             (defaults to ``vertices`` related behaviour: no restriction).
+            Every target vertex must be allowed.
 
     Returns:
         The maximum pairwise distance, or :data:`INFINITY` if some pair is
@@ -204,22 +221,77 @@ def diameter(
     """
     if vertices is None:
         if isinstance(graph, Subgraph):
-            verts = list(graph.vertex_set)
+            targets = sorted(graph.vertex_set)
         else:
-            verts = list(graph.vertices())
+            targets = list(graph.vertices())
     else:
-        verts = list(vertices)
-    if len(verts) <= 1:
+        targets = sorted(set(vertices))
+        for v in targets:
+            graph._check_vertex(v)
+    if len(targets) <= 1:
         return 0.0
-    vert_set = set(verts)
-    worst = 0.0
-    for v in verts:
-        ecc = eccentricity(graph, v, allowed=allowed, targets=vert_set)
-        if ecc == INFINITY:
+    csr = graph.csr()
+    n = csr.num_vertices
+    mask: Optional[bytearray] = None
+    if allowed is not None:
+        mask = bytearray(n)
+        for v in allowed:
+            if 0 <= v < n:
+                mask[v] = 1
+        for v in targets:
+            if not mask[v]:
+                raise ValueError(f"source {v} is not in the allowed vertex set")
+    index = np.asarray(targets, dtype=np.int64)
+    degree = np.diff(np.asarray(csr.indptr, dtype=np.int64))[index]
+
+    def distances_from(source: int) -> np.ndarray:
+        levels, _ = bfs_levels(csr, (source,), mask=mask)
+        return np.asarray(levels, dtype=np.int64)[index]
+
+    return _bounding_diameters(distances_from, targets, degree)
+
+
+def _bounding_diameters(
+    distances_from: Callable[[int], np.ndarray],
+    targets: list[int],
+    degree: np.ndarray,
+) -> float:
+    """Exact diameter over ``targets`` from a "BFS from v -> distances" callable.
+
+    ``distances_from(v)`` returns the hop distance from ``v`` to every target
+    (parallel to ``targets``, :data:`~repro.graphs.csr.UNREACHED` where
+    unreachable).  See :func:`diameter` for the bound rules.
+    """
+    k = len(targets)
+    unbounded = int(np.iinfo(np.int64).max)
+    lower = np.zeros(k, dtype=np.int64)
+    upper = np.full(k, unbounded, dtype=np.int64)
+    live = np.ones(k, dtype=bool)
+    d_lower, d_upper = 0, unbounded
+    pick_high = True
+    while d_lower < d_upper:
+        candidates = np.flatnonzero(live)
+        if pick_high:
+            key = upper[candidates]
+            tied = candidates[key == key.max()]
+        else:
+            key = lower[candidates]
+            tied = candidates[key == key.min()]
+        source = int(tied[np.argmax(degree[tied])])
+        dist = distances_from(targets[source])
+        if (dist == UNREACHED).any():
             return INFINITY
-        if ecc > worst:
-            worst = ecc
-    return worst
+        ecc = dist.max()
+        np.maximum(lower, np.maximum(dist, ecc - dist), out=lower)
+        np.minimum(upper, ecc + dist, out=upper)
+        d_lower, d_upper = int(lower.max()), int(upper.max())
+        # Prune a vertex that can neither raise the lower bound (its upper
+        # bound is already reached) nor, as a BFS source, lower the upper one
+        # (2·ecc >= 2·lower >= d_upper); a vertex with exact bounds (every
+        # BFS source included) is settled.
+        live &= ~(((upper <= d_lower) & (2 * lower >= d_upper)) | (lower == upper))
+        pick_high = not pick_high
+    return float(d_lower)
 
 
 def max_component_diameter(graph: Graph, *, exact: bool = True) -> int:
@@ -232,12 +304,13 @@ def max_component_diameter(graph: Graph, *, exact: bool = True) -> int:
     :data:`INFINITY`.  An edgeless graph has effective diameter 0.
 
     Args:
-        exact: with ``True`` every component pays an all-sources BFS
-            (O(n·m) total — fine for stats at CLI scale).  ``False`` runs
-            one double sweep per component instead (O(m) total), returning
-            a value in ``[D/2, D]`` — what the shortcut *parameter*
-            defaults use, mirroring the distributed pipeline's measured
-            BFS 2-approximation probe.
+        exact: with ``True`` every component runs the exact
+            :func:`diameter` (a handful of BFS runs per component on the
+            constant-diameter families, one per vertex in the worst case).
+            ``False`` runs one double sweep per component instead (two BFS
+            runs), returning a value in ``[D/2, D]`` — what the shortcut
+            *parameter* defaults use, mirroring the distributed pipeline's
+            measured BFS 2-approximation probe.
     """
     from .components import connected_components
 

@@ -116,8 +116,9 @@ def resolve_parameters(
 
     Args:
         diameter_value: the diameter ``D``; measured exactly if omitted
-            (measuring is O(n·m), fine at simulation scale — the distributed
-            implementation instead guesses ``D`` as in the paper).
+            (:func:`~repro.graphs.traversal.diameter`, a few BFS runs on
+            constant-diameter graphs — the distributed implementation
+            instead guesses ``D`` as in the paper).
         probability: override the sampling probability entirely.
         repetitions: override the number of repetitions (default ``D``).
         log_factor: multiplier on the ``log n`` factor of the default ``p``.

@@ -34,6 +34,10 @@ Fallback rules (enforced by ``Network._try_bulk``): adversarial runs, retry
 (ack/retransmit) configurations, composed pipelines and dirty queues all
 take the per-node path; the first two warn once per network with
 :class:`BulkFallbackWarning` so silent de-optimization is observable.
+Kernel build guards decline silently: packed keys that would overflow, and
+for :class:`PartAggregationKernel` any operator other than ``min``/``max``,
+any value (or identity) without an exact rank (:func:`_rank_key`), and a
+resumed algorithm object.
 
 Lint: every kernel declares its mutable state arrays in ``bulk_state``; the
 ``repro lint`` rule RPR013 flags ``bulk_round`` implementations assigning
@@ -42,7 +46,9 @@ Lint: every kernel declares its mutable state arrays in ``bulk_state``; the
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from itertools import chain
+from math import copysign
+from typing import Optional
 
 import numpy as np
 
@@ -53,7 +59,6 @@ I64 = np.int64
 #: primitives' own sentinels / missing keys at finish time).
 _HUGE = np.iinfo(np.int64).max
 UNREACHED = -1
-_MISSING = object()
 #: Packed ``((dist + 1) * n + root) * n + sender`` keys must fit in int64.
 _PACKED_NODE_LIMIT = 2_000_000
 
@@ -88,21 +93,46 @@ def _flat_slices(starts: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.
     return np.repeat(starts[nodes], counts) + _ranks(counts), counts
 
 
-def _rankable(value) -> bool:
-    """Whether ``value`` is safe to aggregate by sorted-rank comparison.
+def _rank_key(value):
+    """Exact identity of a value the ranked fold may take, else ``None``.
 
     Ranked folding replaces pairwise ``min``/``max`` with an integer-rank
-    minimum, which is only sound for totally ordered values: plain numbers,
+    extremum, which is only sound for totally ordered values: plain numbers,
     strings, bytes, and tuples thereof.  Partial orders (sets) and NaN are
-    excluded — their pairwise fold is order-dependent.
+    excluded — their pairwise fold is order-dependent.  The key also tells
+    apart values that compare equal but are not interchangeable (``1``,
+    ``1.0`` and ``True``; ``0.0`` and ``-0.0``; element by element inside
+    tuples): one rank would stand for whichever of them came first, not for
+    what the per-node fold returns.
     """
+    cls = type(value)
     if isinstance(value, float):
-        return value == value
-    if isinstance(value, (bool, int, str, bytes)):
-        return True
+        return (cls, value, copysign(1.0, value)) if value == value else None
     if isinstance(value, tuple):
-        return all(_rankable(item) for item in value)
-    return False
+        keys = tuple(map(_rank_key, value))
+        return None if None in keys else (cls, keys)
+    if isinstance(value, (bool, int, str, bytes)):
+        return (cls, value)
+    return None
+
+
+def _rank_table(algorithm) -> Optional[list]:
+    """Sorted distinct values (identity included) of a part aggregation.
+
+    ``None`` when some value has no exact rank: unrankable (:func:`_rank_key`),
+    equal to a distinct value of another type or sign, or not comparable
+    with the rest (``int`` mixed with ``str``).
+    """
+    seen: dict = {}
+    pool = chain((algorithm.identity,), *(vals.values() for vals in algorithm.values))
+    for value in pool:
+        key = _rank_key(value)
+        if key is None or seen.setdefault(value, key) != key:
+            return None
+    try:
+        return sorted(seen)
+    except TypeError:
+        return None
 
 
 class _LinkScheduler:
@@ -833,32 +863,38 @@ class PartAggregationKernel:
     PartAggregation` (non-retry configurations).
 
     The announce volume (every participant multicasts its parent pointer
-    over its full mask slice) is vectorized; the sparse phases —
-    child registration, convergecast folds, broadcast downs — run as
-    Python loops in exact per-node processing order, which is O(tree
-    edges) per round instead of O(mask edges).  Hybrid is deliberate:
-    fold order and ``op`` are arbitrary Python, so the value plane cannot
-    be an int64 array, but it is also asymptotically tiny next to the
-    announce plane.
+    over its full mask slice) is vectorized, and so is the value plane:
+    the kernel only takes ``min``/``max`` over values with an exact rank
+    (:func:`_rank_table`), so every distinct value and the identity get an
+    integer rank once, convergecast folds are ``np.minimum.at`` /
+    ``np.maximum.at`` over ranks, children live in flat arrays, and
+    UP/DOWN payloads travel as ranks in the integer columns.  The result
+    writes that remain Python loops are O(tree edges) per round instead
+    of O(mask edges).
+
+    :meth:`build` declines (returns ``None``, the silent per-node
+    fallback) for any other operator, for values without an exact rank,
+    and for a resumed algorithm object (non-empty ``_heard`` / ``_done`` /
+    ``_child_targets`` / ``_child_values``); the per-node engine is the
+    reference for all of them.
 
     The kernel writes back ``results`` / ``delivered`` (the documented
-    accessors) and prunes ``_pending`` exactly like the per-node run;
-    the internal ``_heard`` / ``_child_*`` / ``_done`` bookkeeping dicts
-    are *not* mirrored back (nothing documented reads them after a run).
+    accessors) and prunes ``_pending`` exactly like the per-node run.  On
+    finish it mirrors heard counts, children, child reports and fired
+    slots into the per-node dicts, so a cut-off run resumes per-node.
     """
 
-    bulk_state = ("heard", "done", "children", "child_vals", "buckets",
-                  "start_events", "sent", "delivered", "edge_counts",
-                  "seen_linkmax", "max_rounds", "last_executed")
+    bulk_state = ("heard", "done", "buckets", "start_events", "sent",
+                  "delivered", "edge_counts", "seen_linkmax", "max_rounds",
+                  "last_executed")
 
-    def __init__(self, algorithm, network) -> None:
+    def __init__(self, algorithm, network, rank_table: list) -> None:
         self.alg = algorithm
         csr = network._csr
         n = csr.num_vertices
         self.n = n
         num = len(algorithm.masks)
         self.broadcast = algorithm.broadcast_result
-        self.op = algorithm.op
         self.identity = algorithm.identity
         arrays = [mask.arrays() for mask in algorithm.masks]
         # Participants of every instance at once: mask targets and value
@@ -915,8 +951,8 @@ class PartAggregationKernel:
             self.slot_keys, ann_insts * n + self.ann_targets
         )
         self.expected = np.diff(self.ann_starts)
-        # Python-list mirrors for the residual object-plane loops (indexing
-        # a numpy scalar per row costs ~10x a list element).
+        # Python-list mirrors for the per-slot result writes (indexing a
+        # numpy scalar per row costs ~10x a list element).
         self.slot_v_list = self.slot_v.tolist()
         self.slot_i_list = self.slot_i.tolist()
         # Parent pointers: invalid trees (parent neither self, UNREACHED,
@@ -998,92 +1034,38 @@ class PartAggregationKernel:
                 self.valid = False
                 return
             self.up_tslot[up] = jc
-        # Bookkeeping preloaded from the algorithm object (fresh dicts on a
-        # normal run, so the per-slot loop is skipped; faithful if a
-        # partially-run object is resumed).  ``n_children``/``n_child_vals``
-        # mirror the dict sizes so fire eligibility is one array test.
+        # Convergecast state of a fresh object.  ``n_children`` /
+        # ``n_child_vals`` count registrations and reports so fire
+        # eligibility is one array test; ``acc_rank`` starts at each
+        # slot's own value (the identity for relays) and folds every child
+        # report on arrival.
         self.heard = np.zeros(num_slots, dtype=I64)
         self.done = np.zeros(num_slots, dtype=bool)
-        self.children: dict[int, list] = {}
-        self.child_vals: dict[int, list] = {}
         self.n_children = np.zeros(num_slots, dtype=I64)
         self.n_child_vals = np.zeros(num_slots, dtype=I64)
-        resumed = any(
-            algorithm._heard[idx] or algorithm._done[idx]
-            or algorithm._child_targets[idx] or algorithm._child_values[idx]
-            for idx in range(num)
-        )
-        if resumed:
-            for slot in range(num_slots):
-                v = int(self.slot_v[slot])
-                idx = int(self.slot_i[slot])
-                h = algorithm._heard[idx].get(v)
-                if h:
-                    self.heard[slot] = h
-                if v in algorithm._done[idx]:
-                    self.done[slot] = True
-                ct = algorithm._child_targets[idx].get(v)
-                if ct:
-                    cl = algorithm._child_links[idx][v]
-                    kids = []
-                    for t, link in zip(ct, cl):
-                        ts = self._slot_of(idx, int(t))
-                        if ts is None:
-                            self.valid = False
-                            return
-                        kids.append((int(t), int(link), ts))
-                    self.children[slot] = kids
-                    self.n_children[slot] = len(kids)
-                cvals = algorithm._child_values[idx].get(v)
-                if cvals:
-                    self.child_vals[slot] = list(cvals)
-                    self.n_child_vals[slot] = len(cvals)
-        # Value plane.  Named ``min``/``max`` over safely ordered values runs
-        # ranked: every distinct value (and the identity) gets an integer
-        # rank once, folds become vectorized rank minima, children live in
-        # flat arrays, and UP/DOWN payloads travel as ranks in the integer
-        # columns — no per-slot object loops.  Everything else (``sum``,
-        # exotic value types, resumed per-node state) uses the object plane.
-        self.ranked = False
-        if not resumed and (self.op is min or self.op is max):
-            try:
-                pool = {self.identity}
-                for vals in algorithm.values:
-                    pool.update(vals.values())
-                rankable = all(_rankable(value) for value in pool)
-                table = sorted(pool) if rankable else None
-            except TypeError:
-                table = None
-            if table is not None:
-                self.ranked = True
-                self.rank_table = table
-                self.fold_at = (
-                    np.minimum.at if self.op is min else np.maximum.at
-                )
-                rank_of = {value: r for r, value in enumerate(table)}
-                self.acc_rank = np.full(
-                    num_slots, rank_of[self.identity], dtype=I64
-                )
-                own_keys: list[int] = []
-                own_ranks: list[int] = []
-                for idx, vals in enumerate(algorithm.values):
-                    base = idx * n
-                    for v, value in vals.items():
-                        own_keys.append(base + v)
-                        own_ranks.append(rank_of[value])
-                if own_keys:
-                    pos = np.searchsorted(
-                        self.slot_keys, np.asarray(own_keys, dtype=I64)
-                    )
-                    self.acc_rank[pos] = np.asarray(own_ranks, dtype=I64)
-                # Children in registration order, capacity-bounded by the
-                # announce rows (masks permit both directions, so a slot's
-                # in-degree equals its out-degree); ``n_children`` doubles
-                # as the write cursor.
-                cap = len(self.ann_targets)
-                self.child_t_flat = np.empty(cap, dtype=I64)
-                self.child_l_flat = np.empty(cap, dtype=I64)
-                self.child_s_flat = np.empty(cap, dtype=I64)
+        self.rank_table = rank_table
+        self.fold_at = np.minimum.at if algorithm.op is min else np.maximum.at
+        rank_of = {value: r for r, value in enumerate(rank_table)}
+        self.acc_rank = np.full(num_slots, rank_of[self.identity], dtype=I64)
+        own_keys: list[int] = []
+        own_ranks: list[int] = []
+        for idx, vals in enumerate(algorithm.values):
+            base = idx * n
+            for v, value in vals.items():
+                own_keys.append(base + v)
+                own_ranks.append(rank_of[value])
+        if own_keys:
+            pos = np.searchsorted(
+                self.slot_keys, np.asarray(own_keys, dtype=I64)
+            )
+            self.acc_rank[pos] = np.asarray(own_ranks, dtype=I64)
+        # Children in registration order, capacity-bounded by the announce
+        # rows (masks permit both directions, so a slot's in-degree equals
+        # its out-degree); ``n_children`` doubles as the write cursor.
+        cap = len(self.ann_targets)
+        self.child_t_flat = np.empty(cap, dtype=I64)
+        self.child_l_flat = np.empty(cap, dtype=I64)
+        self.child_s_flat = np.empty(cap, dtype=I64)
         events: dict[int, list] = {}
         for v, lst in algorithm._pending.items():
             for delay, idx in lst:
@@ -1109,13 +1091,6 @@ class PartAggregationKernel:
         self.max_rounds = 0
         self.last_executed = 0
 
-    def _slot_of(self, idx: int, v: int) -> Optional[int]:
-        key = idx * self.n + v
-        j = int(np.searchsorted(self.slot_keys, key))
-        if j < len(self.slot_keys) and self.slot_keys[j] == key:
-            return j
-        return None
-
     @classmethod
     def build(cls, algorithm, network) -> Optional["PartAggregationKernel"]:
         if network.bandwidth != 1 or network.strict_bandwidth:
@@ -1123,7 +1098,18 @@ class PartAggregationKernel:
         n = network._csr.num_vertices
         if (len(algorithm.masks) + 1) * n >= 2**62 or n > _PACKED_NODE_LIMIT:
             return None
-        kernel = cls(algorithm, network)
+        if algorithm.op is not min and algorithm.op is not max:
+            return None
+        if any(
+            algorithm._heard[idx] or algorithm._done[idx]
+            or algorithm._child_targets[idx] or algorithm._child_values[idx]
+            for idx in range(len(algorithm.masks))
+        ):
+            return None
+        table = _rank_table(algorithm)
+        if table is None:
+            return None
+        kernel = cls(algorithm, network, table)
         return kernel if kernel.valid else None
 
     def start(self, max_rounds: int) -> None:
@@ -1149,10 +1135,9 @@ class PartAggregationKernel:
 
     def _do_round(self, rnd: int) -> None:
         self.last_executed = rnd
-        objs: list = []
-        extra: list = []  # (node, sub, band, kind, link, target, tslot, sender, ival)
-        chunks: list = []  # column-array chunks, same 9-column layout
-        vec = None
+        # Column-array chunks of this round's sends, laid out as
+        # (node, sub, band, kind, link, target, tslot, sender, ival).
+        chunks: list = []
         starts = self.start_events.pop(rnd, None)
         if starts is not None:
             vs, idxs = starts
@@ -1162,7 +1147,7 @@ class PartAggregationKernel:
                 a_slots = slots[announcing]
                 flat, cnts = _flat_slices(self.ann_starts, a_slots)
                 nodes = np.repeat(vs[announcing], cnts)
-                vec = (
+                chunks.append((
                     nodes,
                     np.repeat(announcing.astype(I64), cnts),
                     np.zeros(len(flat), dtype=I64),
@@ -1172,13 +1157,16 @@ class PartAggregationKernel:
                     self.ann_tslot[flat],
                     nodes,
                     np.repeat(self.parent_of[a_slots], cnts),
-                )
-            for rank in np.flatnonzero(self.expected[slots] == 0).tolist():
-                # Isolated participant: the per-node start fires inline.
-                self._maybe_fire(int(slots[rank]), extra, objs, 0, rank)
+                ))
+            isolated = np.flatnonzero(self.expected[slots] == 0)
+            if len(isolated):
+                # Isolated participants: the per-node start fires inline.
+                # Nothing can have reached a fresh slot before its start, so
+                # the fire guards hold.
+                self._fire_batch_ranked(slots[isolated], isolated, 0, chunks)
         chunk = self.buckets.pop(rnd, None)
         if chunk is not None:
-            (acts, kinds, links, targets, tslots, senders, ivals), in_objs = chunk
+            acts, kinds, links, targets, tslots, senders, ivals = chunk
             self.delivered += len(links)
             self.edge_counts += np.bincount(
                 links >> 1, minlength=len(self.edge_counts)
@@ -1195,73 +1183,39 @@ class PartAggregationKernel:
             ivals_s = ivals[order]
             ann = kinds_s == _K_ANN
             np.add.at(self.heard, tslots_s[ann], 1)
-            ranked = self.ranked
             reg = np.flatnonzero(ann & (ivals_s == targets_s))
             if len(reg):
                 # Child registrations, batched: the sender announced in
-                # this instance, so its slot lookup always hits.
+                # this instance, so its slot lookup always hits.  Group the
+                # batch by slot (stable, so in-batch order is kept) and
+                # place each row at its slot's cursor plus its in-group
+                # rank in the flat child arrays.
                 rslots = tslots_s[reg]
                 rsenders = senders_s[reg]
                 ts = np.searchsorted(
                     self.slot_keys, self.slot_i[rslots] * self.n + rsenders
                 )
-                if ranked:
-                    # Scatter into the flat child arrays: group the batch
-                    # by slot (stable, so in-batch order is kept) and place
-                    # each row at its slot's cursor plus its in-group rank.
-                    grp = np.argsort(rslots, kind="stable")
-                    rs = rslots[grp]
-                    boundary = np.ones(len(rs), dtype=bool)
-                    boundary[1:] = rs[1:] != rs[:-1]
-                    gstart = np.flatnonzero(boundary)
-                    glen = np.diff(np.append(gstart, len(rs)))
-                    within = np.arange(len(rs), dtype=I64) - np.repeat(
-                        gstart, glen
-                    )
-                    pos = self.ann_starts[rs] + self.n_children[rs] + within
-                    self.child_t_flat[pos] = rsenders[grp]
-                    self.child_l_flat[pos] = links_s[reg][grp] ^ 1
-                    self.child_s_flat[pos] = ts[grp]
-                else:
-                    children = self.children
-                    for slot, snd, lnk, t in zip(
-                        rslots.tolist(), rsenders.tolist(),
-                        links_s[reg].tolist(), ts.tolist(),
-                    ):
-                        children.setdefault(slot, []).append((snd, lnk ^ 1, t))
+                grp = np.argsort(rslots, kind="stable")
+                rs = rslots[grp]
+                glen = np.unique(rs, return_counts=True)[1]
+                pos = self.ann_starts[rs] + self.n_children[rs] + _ranks(glen)
+                self.child_t_flat[pos] = rsenders[grp]
+                self.child_l_flat[pos] = links_s[reg][grp] ^ 1
+                self.child_s_flat[pos] = ts[grp]
                 np.add.at(self.n_children, rslots, 1)
             ups = np.flatnonzero(kinds_s == _K_UP)
             if len(ups):
                 np.add.at(self.n_child_vals, tslots_s[ups], 1)
-                if ranked:
-                    self.fold_at(self.acc_rank, tslots_s[ups], ivals_s[ups])
-                else:
-                    child_vals = self.child_vals
-                    for slot, ival in zip(
-                        tslots_s[ups].tolist(), ivals_s[ups].tolist()
-                    ):
-                        child_vals.setdefault(slot, []).append(in_objs[ival])
+                self.fold_at(self.acc_rank, tslots_s[ups], ivals_s[ups])
             downs = np.flatnonzero(kinds_s == _K_DOWN)
             if len(downs):
-                if ranked:
-                    self._downs_ranked(
-                        tslots_s[downs], ivals_s[downs], chunks
-                    )
-                else:
-                    sub = 0
-                    for slot, ival in zip(
-                        tslots_s[downs].tolist(), ivals_s[downs].tolist()
-                    ):
-                        self._deliver_down(
-                            slot, in_objs[ival], extra, objs, 1, sub
-                        )
-                        sub += 1
+                self._downs_ranked(tslots_s[downs], ivals_s[downs], chunks)
             au = kinds_s <= _K_UP
             uq, first = np.unique(tslots_s[au], return_index=True)
-            # Fire eligibility as one array test (the guards of
-            # ``_maybe_fire``, which only eligible slots now reach); the
-            # per-node fire order is first-touch order, and the skipped
-            # slots would not have advanced the engine's tiebreak counter.
+            # Fire eligibility as one array test (the per-node
+            # ``_maybe_send_up`` guards); the per-node fire order is
+            # first-touch order, and the skipped slots would not have
+            # advanced the engine's tiebreak counter.
             elig = (
                 ~self.done[uq]
                 & (self.heard[uq] >= self.expected[uq])
@@ -1271,15 +1225,9 @@ class PartAggregationKernel:
             first = first[elig]
             if len(uq):
                 fire = uq[np.argsort(first, kind="stable")]
-                if ranked:
-                    self._fire_batch_ranked(fire, chunks)
-                else:
-                    self._fire_batch(fire, extra, objs)
-        if vec is not None:
-            chunks.append(vec)
-        if extra:
-            cols = list(zip(*extra))
-            chunks.append(tuple(np.asarray(col, dtype=I64) for col in cols))
+                self._fire_batch_ranked(
+                    fire, np.arange(len(fire), dtype=I64), 2, chunks
+                )
         if not chunks:
             return
         if len(chunks) == 1:
@@ -1295,13 +1243,17 @@ class PartAggregationKernel:
         links_o = links[order]
         deliv, acts = self.sched.schedule(rnd, links_o, rnd < self.max_rounds)
         self.sent += len(links_o)
-        self._push(deliv, (
+        _bucket_push(self.buckets, deliv, (
             acts, kinds[order], links_o, targets[order], tslots[order],
             senders[order], ivals[order],
-        ), objs)
+        ))
 
     def _children_rows(self, slots, subs, ranks, band, chunks) -> None:
-        """Emit each slot's DOWN multicast as one vectorized chunk."""
+        """Emit each slot's DOWN multicast as one vectorized chunk.
+
+        One shared payload per multicast; per-link traffic still counts
+        every directed link (the per_edge_messages pin).
+        """
         cnt = self.n_children[slots]
         total = int(cnt.sum())
         if not total:
@@ -1331,14 +1283,18 @@ class PartAggregationKernel:
             dslots, np.arange(len(dslots), dtype=I64), dranks, 1, chunks
         )
 
-    def _fire_batch_ranked(self, slots, chunks) -> None:
+    def _fire_batch_ranked(self, slots, subs, band, chunks) -> None:
+        """Fire every slot in ``slots`` (whose guards all hold) at once.
+
+        Roots record the result and, when broadcasting, multicast it to
+        their children; other reached slots send their folded rank UP.
+        """
         self.done[slots] = True
         alg = self.alg
         table = self.rank_table
         ranks = self.acc_rank[slots]
         vs = self.slot_v[slots]
         parents = self.parent_of[slots]
-        subs = np.arange(len(slots), dtype=I64)
         isroot = parents == vs
         ridx = np.flatnonzero(isroot)
         if len(ridx):
@@ -1353,7 +1309,7 @@ class PartAggregationKernel:
                 delivered[idx][v] = value
             if self.broadcast:
                 self._children_rows(
-                    slots[ridx], subs[ridx], ranks[ridx], 2, chunks
+                    slots[ridx], subs[ridx], ranks[ridx], band, chunks
                 )
         uidx = np.flatnonzero(~isroot & (parents != UNREACHED))
         if len(uidx):
@@ -1361,7 +1317,7 @@ class PartAggregationKernel:
             chunks.append((
                 vs[uidx],
                 subs[uidx],
-                np.full(len(uidx), 2, dtype=I64),
+                np.full(len(uidx), band, dtype=I64),
                 np.full(len(uidx), _K_UP, dtype=I64),
                 self.up_link[upslots],
                 parents[uidx],
@@ -1370,155 +1326,6 @@ class PartAggregationKernel:
                 ranks[uidx],
             ))
 
-    def _fire_batch(self, slots, out, objs) -> None:
-        # The ``_maybe_fire`` guards already hold for every slot here (the
-        # caller checked them as one array test), so each slot fires
-        # exactly once; gathering the per-slot columns up front keeps the
-        # loop body to plain list/dict operations.
-        self.done[slots] = True
-        alg = self.alg
-        op = self.op
-        identity = self.identity
-        values = alg.values
-        results = alg.results
-        delivered = alg.delivered
-        child_vals = self.child_vals
-        children = self.children
-        broadcast = self.broadcast
-        sub = 0
-        for slot, v, idx, parent, uplink, uptslot in zip(
-            slots.tolist(),
-            self.slot_v[slots].tolist(),
-            self.slot_i[slots].tolist(),
-            self.parent_of[slots].tolist(),
-            self.up_link[slots].tolist(),
-            self.up_tslot[slots].tolist(),
-        ):
-            combined = values[idx].get(v, _MISSING)
-            if combined is _MISSING:
-                combined = identity
-            vals = child_vals.get(slot)
-            if vals:
-                for value in vals:
-                    combined = op(combined, value)
-            if parent == v:
-                results[idx] = combined
-                delivered[idx][v] = combined
-                if broadcast:
-                    kids = children.get(slot)
-                    if kids:
-                        objs.append(combined)
-                        ival = len(objs) - 1
-                        for target, link, tslot in kids:
-                            out.append(
-                                (v, sub, 2, _K_DOWN, link, target, tslot,
-                                 v, ival)
-                            )
-            elif parent != UNREACHED:
-                objs.append(combined)
-                out.append((v, sub, 2, _K_UP, uplink, parent, uptslot,
-                            v, len(objs) - 1))
-            sub += 1
-
-    def _maybe_fire(self, slot, out, objs, band, sub) -> bool:
-        if self.done[slot] or self.heard[slot] < self.expected[slot]:
-            return False
-        if self.ranked:
-            if self.n_child_vals[slot] < self.n_children[slot]:
-                return False
-            rank = int(self.acc_rank[slot])
-            v = self.slot_v_list[slot]
-            idx = self.slot_i_list[slot]
-            self.done[slot] = True
-            parent = int(self.parent_of[slot])
-            if parent == v:
-                value = self.rank_table[rank]
-                self.alg.results[idx] = value
-                self.alg.delivered[idx][v] = value
-                kids = int(self.n_children[slot])
-                if self.broadcast and kids:
-                    start = int(self.ann_starts[slot])
-                    for pos in range(start, start + kids):
-                        out.append((
-                            v, sub, band, _K_DOWN,
-                            int(self.child_l_flat[pos]),
-                            int(self.child_t_flat[pos]),
-                            int(self.child_s_flat[pos]), v, rank,
-                        ))
-            elif parent != UNREACHED:
-                out.append((v, sub, band, _K_UP, int(self.up_link[slot]),
-                            parent, int(self.up_tslot[slot]), v, rank))
-            return True
-        kids = self.children.get(slot)
-        vals = self.child_vals.get(slot, ())
-        if kids and len(vals) < len(kids):
-            return False
-        alg = self.alg
-        v = int(self.slot_v[slot])
-        idx = int(self.slot_i[slot])
-        combined = alg.values[idx].get(v, _MISSING)
-        if combined is _MISSING:
-            combined = self.identity
-        for value in vals:
-            combined = self.op(combined, value)
-        self.done[slot] = True
-        parent = int(self.parent_of[slot])
-        if parent == v:
-            alg.results[idx] = combined
-            self._deliver_down(slot, combined, out, objs, band, sub)
-        elif parent != UNREACHED:
-            objs.append(combined)
-            out.append((v, sub, band, _K_UP, int(self.up_link[slot]),
-                        parent, int(self.up_tslot[slot]), v, len(objs) - 1))
-        return True
-
-    def _deliver_down(self, slot, value, out, objs, band, sub) -> None:
-        alg = self.alg
-        v = self.slot_v_list[slot]
-        idx = self.slot_i_list[slot]
-        if not self.broadcast:
-            if int(self.parent_of[slot]) == v:
-                alg.delivered[idx][v] = value
-            return
-        alg.delivered[idx][v] = value
-        kids = self.children.get(slot)
-        if kids:
-            objs.append(value)
-            ival = len(objs) - 1
-            for target, link, tslot in kids:
-                # One shared payload per multicast; per-link traffic still
-                # counts every directed link (per_edge_messages pin).
-                out.append((v, sub, band, _K_DOWN, link, target, tslot, v, ival))
-
-    def _push(self, deliv, cols, objs) -> None:
-        order = np.argsort(deliv, kind="stable")
-        sdeliv = deliv[order]
-        scols = tuple(col[order] for col in cols)
-        edges = np.flatnonzero(np.diff(sdeliv)) + 1
-        bounds = np.concatenate(([0], edges, [len(sdeliv)]))
-        for k in range(len(bounds) - 1):
-            lo, hi = int(bounds[k]), int(bounds[k + 1])
-            if lo == hi:
-                continue
-            rnd = int(sdeliv[lo])
-            part = tuple(col[lo:hi] for col in scols)
-            prior = self.buckets.get(rnd)
-            if prior is None:
-                self.buckets[rnd] = (part, objs)
-            else:
-                pcols, pobjs = prior
-                if pobjs is not objs:
-                    # Re-base payload indices onto the bucket's object list;
-                    # earlier chunks index its unchanged prefix.
-                    shift = part[6].copy()
-                    shift[part[1] != _K_ANN] += len(pobjs)
-                    part = part[:6] + (shift,)
-                    pobjs.extend(objs)
-                self.buckets[rnd] = (
-                    tuple(np.concatenate(pair) for pair in zip(pcols, part)),
-                    pobjs,
-                )
-
     def awake_at_cutoff(self, rnd: int) -> int:
         # Waiting participants halt between timer rounds, so the per-node
         # engine's awake set is empty at any cutoff.
@@ -1526,10 +1333,11 @@ class PartAggregationKernel:
 
     def _spill(self, network) -> None:
         alg = self.alg
+        table = self.rank_table
         slot_i = self.slot_i
         entries = []
         for rnd in sorted(self.buckets):
-            (acts, kinds, links, targets, tslots, senders, ivals), objs = \
+            acts, kinds, links, targets, tslots, senders, ivals = \
                 self.buckets[rnd]
             idxs = slot_i[tslots].tolist()
             rows = zip(
@@ -1539,16 +1347,13 @@ class PartAggregationKernel:
             for act, kind, link, target, sender, ival, idx in rows:
                 if kind == _K_ANN:
                     msg = Message(sender, -1, alg._tags_ann[idx], ival, idx)
-                    entries.append((act, link, msg))
-                    continue
-                payload = self.rank_table[ival] if self.ranked else objs[ival]
-                if kind == _K_UP:
+                elif kind == _K_UP:
                     msg = Message(
-                        sender, target, alg._tags_up[idx], payload, idx
+                        sender, target, alg._tags_up[idx], table[ival], idx
                     )
                 else:
                     msg = Message(
-                        sender, -1, alg._tags_down[idx], payload, idx
+                        sender, -1, alg._tags_down[idx], table[ival], idx
                     )
                 entries.append((act, link, msg))
         self.buckets.clear()
@@ -1585,30 +1390,20 @@ class PartAggregationKernel:
             alg._heard[slot_i[slot]][slot_v[slot]] = h
         for slot in np.flatnonzero(self.done).tolist():
             alg._done[slot_i[slot]].add(slot_v[slot])
-        if self.ranked:
-            for slot in np.flatnonzero(self.n_children).tolist():
-                idx, v = slot_i[slot], slot_v[slot]
-                start = int(self.ann_starts[slot])
-                end = start + int(self.n_children[slot])
-                alg._child_targets[idx][v] = \
-                    self.child_t_flat[start:end].tolist()
-                alg._child_links[idx][v] = \
-                    self.child_l_flat[start:end].tolist()
-            table = self.rank_table
-            identity = self.identity
-            for slot in np.flatnonzero(self.n_child_vals).tolist():
-                # The individual child reports were folded on arrival; a
-                # partially-folded head padded with the identity reproduces
-                # both the pending-report count and (``min``/``max`` being
-                # order-free) the final fold.
-                count = int(self.n_child_vals[slot])
-                head = table[int(self.acc_rank[slot])]
-                alg._child_values[slot_i[slot]][slot_v[slot]] = \
-                    [head] + [identity] * (count - 1)
-        else:
-            for slot, kids in self.children.items():
-                idx, v = slot_i[slot], slot_v[slot]
-                alg._child_targets[idx][v] = [t for t, _, _ in kids]
-                alg._child_links[idx][v] = [lnk for _, lnk, _ in kids]
-            for slot, vals in self.child_vals.items():
-                alg._child_values[slot_i[slot]][slot_v[slot]] = list(vals)
+        for slot in np.flatnonzero(self.n_children).tolist():
+            idx, v = slot_i[slot], slot_v[slot]
+            start = int(self.ann_starts[slot])
+            end = start + int(self.n_children[slot])
+            alg._child_targets[idx][v] = self.child_t_flat[start:end].tolist()
+            alg._child_links[idx][v] = self.child_l_flat[start:end].tolist()
+        table = self.rank_table
+        identity = self.identity
+        for slot in np.flatnonzero(self.n_child_vals).tolist():
+            # The individual child reports were folded on arrival; a
+            # partially-folded head padded with the identity reproduces
+            # both the pending-report count and (``min``/``max`` being
+            # order-free) the final fold.
+            count = int(self.n_child_vals[slot])
+            head = table[int(self.acc_rank[slot])]
+            alg._child_values[slot_i[slot]][slot_v[slot]] = \
+                [head] + [identity] * (count - 1)

@@ -623,8 +623,9 @@ class Network:
         Declined configurations (retry mode, an adversary, whose delivery
         interposition point is per-message) warn once per network so the
         de-optimization is observable; dirty queues and kernel build guards
-        (packed-key overflow) fall back silently — they are per-run
-        conditions, not configuration mistakes.
+        (packed-key overflow, the aggregation kernel's operator/rank/resume
+        rule) fall back silently — they are per-run conditions, not
+        configuration mistakes.
         """
         if not algorithm.bulk_supported():
             if adversary is None and getattr(algorithm, "retry", None) is not None:

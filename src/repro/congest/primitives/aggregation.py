@@ -236,7 +236,12 @@ class PartAggregation(DistributedAlgorithm):
 
     def bulk_supported(self) -> bool:
         # The retry channel interleaves acks with payload traffic; only the
-        # plain fire-and-forget configuration vectorizes.
+        # plain fire-and-forget configuration vectorizes.  Past this check
+        # the kernel's build still declines silently (per-node fallback, no
+        # warning) unless the object is fresh and ``op`` is ``min``/``max``
+        # over values with an exact rank: ``sum``/``count``, sets, NaN,
+        # mixed types and equal-but-distinct values (``1``/``1.0``/``True``,
+        # ``0.0``/``-0.0``) run per-node.
         return self.retry is None
 
     def bulk_kernel(self, network):

@@ -11,7 +11,10 @@ plus the boundary behaviours: ``max_rounds`` cutoffs composed with
 ``reset=False`` (spilled in-flight traffic must be delivered identically
 by a follow-up run), resumed algorithm objects, and the warn-once
 fallback for configurations no kernel models (retry mode, adversarial
-runs).
+runs).  The aggregation kernel's silent decline rule (only ``min``/``max``
+over exactly ranked values on a fresh object) is pinned directly on
+``PartAggregationKernel.build``, and both shortcut consumers must keep
+engaging the kernel.
 """
 
 import random
@@ -20,6 +23,9 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.applications.components import shortcut_connected_components
+from repro.applications.shortcut_mst import NO_CANDIDATE, shortcut_boruvka_mst
+from repro.congest.bulk import PartAggregationKernel
 from repro.congest.network import BulkFallbackWarning, Network
 from repro.congest.adversary import RetryPolicy, make_fault_adversary
 from repro.congest.primitives.aggregation import (
@@ -31,7 +37,14 @@ from repro.congest.primitives.bfs import DistributedBFS
 from repro.congest.primitives.concurrent_bfs import ConcurrentMaskedBFS
 from repro.congest.primitives.leader import FloodMax, read_leaders
 from repro.graphs.csr import CSRLinkMask
-from repro.graphs.generators import GENERATOR_FAMILIES
+from repro.graphs.generators import (
+    GENERATOR_FAMILIES,
+    disjoint_union,
+    hub_diameter_graph,
+    path_graph,
+    with_random_weights,
+)
+from repro.graphs.lower_bound import lower_bound_instance
 
 FAMILIES = sorted(GENERATOR_FAMILIES)
 
@@ -155,7 +168,9 @@ def test_fleet_bulk_matches_per_node(family, sparse, bulk_toggle):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("op,broadcast", [("sum", True), ("min", False)])
+# ``sum`` is declined by the kernel's build, so it pins the silent per-node
+# fallback; ``min``/``max`` engage the ranked value plane.
+@pytest.mark.parametrize("op,broadcast", [("sum", True), ("min", False), ("max", True)])
 def test_aggregation_pipeline_bulk_matches_per_node(
     family, op, broadcast, bulk_toggle
 ):
@@ -226,9 +241,10 @@ def test_cutoff_and_resume_composition(family, max_rounds, bulk_toggle):
 
 def test_multicast_folded_per_edge_messages(bulk_toggle):
     """The ANN phase multicasts one payload over a node's whole mask slice;
-    the bulk kernel must still charge every directed link individually."""
+    the bulk kernel must still charge every directed link individually.
+    ``min`` runs the kernel; ``sum`` pins the declined per-node fallback."""
 
-    def once(enabled):
+    def once(enabled, op):
         bulk_toggle(enabled)
         g = family_graph("torus")
         masks, roots, values = label_masks(g)
@@ -241,19 +257,136 @@ def test_multicast_folded_per_edge_messages(bulk_toggle):
         )
         net.run(fleet, reset=False, max_rounds=200_000)
         agg = PartAggregation(
-            masks, fleet.parent, values, "sum",
+            masks, fleet.parent, values, op,
             delays=draw_random_delays(4, 2, rng),
         )
         m = net.run(agg, reset=False, max_rounds=200_000)
         return dict(m.per_edge_messages), m.messages_delivered
 
-    per_edge_bulk, delivered_bulk = once(True)
-    per_edge_node, delivered_node = once(False)
-    assert per_edge_bulk == per_edge_node
-    assert delivered_bulk == delivered_node
-    # The folded multicast really fans out: total per-edge traffic accounts
-    # for every delivery, not one count per multicast call.
-    assert sum(per_edge_bulk.values()) == delivered_bulk
+    for op in ("sum", "min"):
+        per_edge_bulk, delivered_bulk = once(True, op)
+        per_edge_node, delivered_node = once(False, op)
+        assert per_edge_bulk == per_edge_node
+        assert delivered_bulk == delivered_node
+        # The folded multicast really fans out: total per-edge traffic
+        # accounts for every delivery, not one count per multicast call.
+        assert sum(per_edge_bulk.values()) == delivered_bulk
+
+
+# ----------------------------------------------------------------------
+# aggregation value plane: which configurations the kernel takes
+# ----------------------------------------------------------------------
+#: Values that compare equal but are not interchangeable.  One rank would
+#: stand for whichever came first, so the kernel must decline them and the
+#: per-node fold decides the result's type and sign.
+EQUAL_BUT_DISTINCT = [{2: 1, 0: 1.0}, {1: True, 0: 1}, {2: 0.0, 0: -0.0}]
+
+#: (op, values, identity) configurations the kernel must take: ints,
+#: floats and MWOE-style ``(weight, u, v)`` tuples under ``min`` and ``max``.
+ENGAGED = [
+    ("min", {0: 3, 1: 1, 2: 2}, None),
+    ("max", {0: 3, 1: 1, 2: 2}, None),
+    ("min", {0: 2.5, 2: -1.0}, None),
+    ("max", {0: 2.5, 2: -1.0}, None),
+    ("min", {0: (2.0, 0, 1), 1: NO_CANDIDATE, 2: (1.5, 1, 2)}, NO_CANDIDATE),
+    ("min", {}, NO_CANDIDATE),
+    ("max", {0: (2.0, 0, 1), 2: (1.5, 1, 2)}, (float("-inf"), -1, -1)),
+]
+
+#: (op, values, identity) configurations the kernel must decline.
+DECLINED = [
+    ("sum", {0: 3, 1: 1, 2: 2}, None),
+    ("count", {0: 1, 1: 1, 2: 1}, None),
+    ("min", {0: frozenset({1}), 1: frozenset({2})}, frozenset({1, 2})),
+    ("min", {0: float("nan"), 1: 1.0}, None),
+    ("max", {0: 1, 1: "a"}, None),
+] + [("min", values, None) for values in EQUAL_BUT_DISTINCT]
+
+
+def _path_mask(g):
+    return CSRLinkMask(g.csr(), np.ones(g.csr().num_edges, dtype=bool))
+
+
+def _path_aggregation(op, values, identity):
+    """One instance over the whole path 0-1-2, rooted at 0."""
+    g = path_graph(3)
+    agg = PartAggregation([_path_mask(g)], [[0, 0, 1]], [values], op,
+                          identity=identity)
+    return Network(g), agg
+
+
+@pytest.mark.parametrize("op,values,identity", ENGAGED, ids=repr)
+def test_aggregation_kernel_engages(op, values, identity):
+    net, agg = _path_aggregation(op, values, identity)
+    assert PartAggregationKernel.build(agg, net) is not None
+
+
+@pytest.mark.parametrize("op,values,identity", DECLINED, ids=repr)
+def test_aggregation_kernel_declines(op, values, identity):
+    net, agg = _path_aggregation(op, values, identity)
+    assert PartAggregationKernel.build(agg, net) is None
+
+
+def test_aggregation_kernel_declines_resumed_object():
+    net, agg = _path_aggregation("min", {0: 3, 1: 1, 2: 2}, None)
+    net.run(agg)
+    assert agg.results == [1]
+    # A completed object re-run with reset=False carries per-node state.
+    assert PartAggregationKernel.build(agg, net) is None
+
+
+@pytest.mark.parametrize(
+    "op,values,identity",
+    [("min", values, None) for values in EQUAL_BUT_DISTINCT] + ENGAGED,
+    ids=repr,
+)
+def test_aggregation_values_bulk_matches_per_node_by_repr(
+    op, values, identity, bulk_toggle
+):
+    """Results and receipts keep the per-node fold's exact values:
+    ``repr`` tells ``1`` from ``1.0`` and ``True``, and ``0.0`` from
+    ``-0.0``, where ``==`` does not."""
+
+    def once(enabled):
+        bulk_toggle(enabled)
+        g = path_graph(3)
+        res = run_part_aggregation(
+            Network(g), [0], [_path_mask(g)], [values], op,
+            identity=identity, rng=random.Random(1),
+        )
+        return res.rounds, res.messages, repr(res.results), repr(res.delivered)
+
+    assert once(True) == once(False)
+
+
+def _hub_components():
+    g = disjoint_union([
+        hub_diameter_graph(40, 6, extra_edge_prob=0.05, rng=b) for b in range(2)
+    ])
+    return shortcut_connected_components(g, rng=1)
+
+
+def _lower_bound_mst():
+    g = with_random_weights(lower_bound_instance(60, 6).graph, rng=1)
+    return shortcut_boruvka_mst(g, rng=1)
+
+
+@pytest.mark.parametrize("consumer", [_lower_bound_mst, _hub_components],
+                         ids=["mst_lower_bound", "components_hub"])
+def test_consumers_build_aggregation_kernels(consumer, monkeypatch):
+    """A rank rule that pushed a production consumer onto the per-node
+    path would only show as lost speed; pin that the kernel engages."""
+    built = []
+    build = PartAggregationKernel.build.__func__
+
+    def counting_build(cls, algorithm, network):
+        kernel = build(cls, algorithm, network)
+        built.append(kernel is not None)
+        return kernel
+
+    monkeypatch.setattr(PartAggregationKernel, "build", classmethod(counting_build))
+    consumer()
+    assert sum(built) >= 1
 
 
 # ----------------------------------------------------------------------

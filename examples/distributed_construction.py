@@ -37,7 +37,7 @@ def show(result, n: int, diameter: int, label: str) -> None:
         m = result.bfs_metrics
         print(f"concurrent BFS: {m.rounds} rounds, {m.messages_delivered} messages, "
               f"max per-edge load {m.max_edge_messages}")
-    report = result.shortcut.quality_report(exact_dilation=False)
+    report = result.shortcut.quality_report(exact_dilation=False, rng=4)
     print(f"shortcut quality           : congestion {report.congestion} + "
           f"dilation {report.dilation} = {report.quality}")
 

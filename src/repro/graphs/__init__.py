@@ -23,7 +23,6 @@ from .components import (
 from .csr import (
     UNREACHED,
     CSRGraph,
-    LocalSubgraphCSR,
     bfs_levels,
     bfs_parents,
     component_labels,
@@ -90,7 +89,6 @@ __all__ = [
     "edge_key",
     "union_subgraph",
     "CSRGraph",
-    "LocalSubgraphCSR",
     "UNREACHED",
     "bfs_levels",
     "bfs_parents",

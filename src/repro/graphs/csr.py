@@ -476,55 +476,3 @@ def component_labels(csr: CSRGraph) -> tuple[array, int]:
         current += 1
     return labels, current
 
-
-class LocalSubgraphCSR:
-    """A compact CSR-like view of a subgraph, re-labelled to local ids.
-
-    Built once from an edge list plus extra (possibly isolated) vertices and
-    then traversed many times — this is the workhorse of the dilation
-    measurement, where every part's augmented subgraph is BFS-ed from many
-    sources.  Local ids are assigned in ascending global-vertex order.
-
-    Attributes:
-        vertices: sorted global ids of the subgraph's vertices.
-        local_of: map global id -> local id.
-        adjacency: list of local-id neighbour lists.
-    """
-
-    __slots__ = ("vertices", "local_of", "adjacency")
-
-    def __init__(self, edges: Iterable[tuple[int, int]], extra_vertices: Iterable[int] = ()) -> None:
-        edges = list(edges)
-        verts: set[int] = set(extra_vertices)
-        for u, v in edges:
-            verts.add(u)
-            verts.add(v)
-        self.vertices = sorted(verts)
-        self.local_of = {g: i for i, g in enumerate(self.vertices)}
-        adjacency: list[list[int]] = [[] for _ in self.vertices]
-        local_of = self.local_of
-        for u, v in edges:
-            lu = local_of[u]
-            lv = local_of[v]
-            adjacency[lu].append(lv)
-            adjacency[lv].append(lu)
-        self.adjacency = adjacency
-
-    def bfs_distances(self, source_global: int) -> array:
-        """Return local-id hop distances from a global source vertex."""
-        adjacency = self.adjacency
-        dist = array("l", [UNREACHED]) * len(adjacency)
-        s = self.local_of[source_global]
-        dist[s] = 0
-        frontier = [s]
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt: list[int] = []
-            for u in frontier:
-                for v in adjacency[u]:
-                    if dist[v] == UNREACHED:
-                        dist[v] = depth
-                        nxt.append(v)
-            frontier = nxt
-        return dist

@@ -12,11 +12,15 @@ such that
 subgraphs and computes congestion, dilation and quality.
 
 Internally every ``H_i`` is a set of dense *edge ids* from the host graph's
-:class:`~repro.graphs.csr.CSRGraph` snapshot, so the congestion counters are
-flat ``array('l')`` accumulators indexed by edge id and the dilation BFS runs
-on compact local-id adjacency (see
-:class:`~repro.graphs.csr.LocalSubgraphCSR`) instead of per-call dict/set
-churn.  The public API is unchanged and still speaks canonical edge tuples.
+:class:`~repro.graphs.csr.CSRGraph` snapshot.  Congestion is one
+``np.bincount`` over the ``(edge, part)`` entries of all augmented subgraphs:
+the induced part edges, found through a vertex -> part label array, plus the
+``H_i`` ids.  Dilation is a bit-parallel multi-source BFS (MS-BFS, Then et
+al., VLDB 2014) over the CSR: each (part, source) pair is one bit column of
+a ``uint64`` matrix, each adjacency slot allows the columns of the parts
+whose augmented subgraph holds its edge, and a BFS level is
+``front[indices] & allow``, an ``np.bitwise_or.reduceat`` over the CSR rows
+and an ``& ~seen``.  The public API still speaks canonical edge tuples.
 
 Measurement conventions
 -----------------------
@@ -30,19 +34,19 @@ between two **part** vertices inside the augmented subgraph
 bounds (Theorem 3.1 bounds ``dist_H(s, t)`` for ``s, t ∈ S_j``) and the one
 the applications rely on; the full subgraph diameter can be larger or even
 infinite because sampled edges may land outside the part's component, which
-is irrelevant for routing inside the part.  ``dilation(mode="component")``
-additionally measures the diameter of the connected component of the
-augmented subgraph that contains the part, for completeness.
+is irrelevant for routing inside the part.
 """
 
 from __future__ import annotations
 
-from array import array
+import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence as SequenceT
 
-from ..graphs.csr import UNREACHED, LocalSubgraphCSR
+import numpy as np
+
 from ..graphs.graph import Graph, Subgraph, union_subgraph
 from ..graphs.traversal import INFINITY
 from ..rng import RandomLike, ensure_rng
@@ -195,8 +199,6 @@ class Shortcut:
         consumers (the distributed driver builds its per-part CSR link masks
         from these).
         """
-        import numpy as np
-
         ids = self._subgraph_ids[index]
         return np.fromiter(ids, dtype=np.int64, count=len(ids))
 
@@ -257,28 +259,71 @@ class Shortcut:
     # ------------------------------------------------------------------
     # quality measures
     # ------------------------------------------------------------------
-    def _edge_load_array(self) -> array:
-        """Per-edge load as a flat ``array('l')`` indexed by edge id."""
-        load = array("l", [0]) * self._csr.num_edges
-        for i in range(self.num_parts):
-            for e in self._part_edge_ids(i):
-                load[e] += 1
-            shortcut_ids = self._subgraph_ids[i]
-            part_ids = self._part_edge_id_cache[i]
-            for e in shortcut_ids:
-                if e not in part_ids:  # type: ignore[operator]
-                    load[e] += 1
-        return load
+    def _kernel_inputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(labels, entry_ids, entry_parts)``: each vertex's part (``-1`` if
+        none) and one ``(edge id, i)`` entry per edge of each ``G[S_i] ∪ H_i``
+        (an edge is induced iff both endpoints carry the same label)."""
+        labels = np.full(self.graph.num_vertices, -1)
+        vertices, vertex_parts = _flatten(self.partition.parts)
+        labels[vertices] = vertex_parts
+        arrays = self._csr.adjacency_arrays()
+        lu = labels[arrays.edge_u]
+        own = np.where(lu == labels[arrays.edge_v], lu, -1)
+        induced = np.flatnonzero(own >= 0)
+        h_ids, h_parts = _flatten(self._subgraph_ids)
+        keep = own[h_ids] != h_parts
+        return (labels, np.concatenate([induced, h_ids[keep]]),
+                np.concatenate([own[induced], h_parts[keep]]))
+
+    def _edge_load_array(self, inputs=None) -> np.ndarray:
+        """Per-edge load (#augmented subgraphs holding the edge), by edge id."""
+        return np.bincount((inputs or self._kernel_inputs())[1], minlength=self._csr.num_edges)
 
     def congestion(self) -> int:
         """Return the congestion: max #augmented subgraphs sharing one edge."""
-        load = self._edge_load_array()
-        return max(load, default=0)
+        return int(self._edge_load_array().max(initial=0))
 
     def edge_loads(self) -> dict[tuple[int, int], int]:
         """Return the full per-edge load map (edges with zero load omitted)."""
         edge_list = self._csr.edge_list
-        return {edge_list[e]: c for e, c in enumerate(self._edge_load_array()) if c}
+        return {edge_list[e]: c for e, c in enumerate(self._edge_load_array().tolist()) if c}
+
+    def _part_dilations(self, indices, exact: bool, rng: RandomLike, sample_size: int,
+                        *, stop: bool, inputs=None) -> list[float]:
+        """Dilations of the parts in ``indices`` from one kernel call, with
+        sources drawn as a loop of :meth:`part_dilation` calls would draw
+        them.  With ``stop`` the result is ``[inf]`` if a part is
+        disconnected, and a shared ``random.Random`` stops after that part."""
+        partition = self.partition
+        big = [i for i in indices if len(partition.part(i)) > 1]
+
+        def draw(i: int) -> list[int]:
+            r = ensure_rng(rng)
+            pool = list(partition.part(i))
+            return [r.choice(pool) for _ in range(min(sample_size, len(pool)))]
+
+        start = rng.getstate() if stop and not exact and isinstance(rng, random.Random) else None
+        src, column_part = _flatten([list(partition.part(i)) if exact
+                                     else [partition.leader(i)] + draw(i) for i in big])
+        column_part = np.asarray(big, dtype=np.int64)[column_part]
+        inputs, arrays = inputs or self._kernel_inputs(), self._csr.adjacency_arrays()
+        width = 64 * max(1, _PASS_BYTES // (8 * (len(arrays.indices) + len(inputs[0]))))
+        ecc = np.zeros(len(src))
+        for k in range(0, len(src), width):
+            ecc[k:k + width] = _bit_parallel_bfs(arrays, *inputs, src[k:k + width],
+                                                 column_part[k:k + width], self.num_parts)
+        per_part = np.maximum.reduceat(ecc, np.searchsorted(column_part, big))
+        found = dict(zip(big, per_part.tolist()))
+        if stop and INFINITY in found.values():
+            if start is not None:
+                # A disconnected part is infinite in every column: replay up to it.
+                rng.setstate(start)
+                for i in big:
+                    draw(i)
+                    if found[i] == INFINITY:
+                        break
+            return [INFINITY]
+        return [found.get(i, 0.0) for i in indices]
 
     def part_dilation(self, index: int, *, exact: bool = True, rng: RandomLike = None,
                       sample_size: int = 4) -> float:
@@ -292,50 +337,26 @@ class Shortcut:
                 2-approximation).
             rng: randomness for the sampled variant.
         """
-        part = self.partition.part(index)
-        if len(part) <= 1:
-            return 0.0
-        edge_list = self._csr.edge_list
-        view = LocalSubgraphCSR(
-            (edge_list[e] for e in self.augmented_edge_ids(index)), part
-        )
-        if exact:
-            sources = list(part)
-        else:
-            r = ensure_rng(rng)
-            sources = [self.partition.leader(index)]
-            pool = list(part)
-            for _ in range(min(sample_size, len(pool))):
-                sources.append(r.choice(pool))
-        local_of = view.local_of
-        part_locals = [local_of[t] for t in part]
-        worst = 0
-        for s in sources:
-            dist = view.bfs_distances(s)
-            for t in part_locals:
-                d = dist[t]
-                if d == UNREACHED:
-                    return INFINITY
-                if d > worst:
-                    worst = d
-        return float(worst)
+        return self._part_dilations([index], exact, rng, sample_size, stop=False)[0]
+
+    def part_dilations(self, *, exact: bool = True, rng: RandomLike = None,
+                       sample_size: int = 4) -> list[float]:
+        """Return every part's :meth:`part_dilation` from one kernel call,
+        drawing sampled sources as a loop of those calls would."""
+        return self._part_dilations(range(self.num_parts), exact, rng, sample_size, stop=False)
 
     def dilation(self, *, exact: bool = True, rng: RandomLike = None) -> float:
         """Return the dilation over all parts (see the module docstring)."""
-        worst = 0.0
-        for i in range(self.num_parts):
-            d = self.part_dilation(i, exact=exact, rng=rng)
-            if d == INFINITY:
-                return INFINITY
-            if d > worst:
-                worst = d
-        return worst
+        return max(self._part_dilations(range(self.num_parts), exact, rng, 4, stop=True),
+                   default=0.0)
 
     def quality_report(self, *, exact_dilation: bool = True, rng: RandomLike = None) -> QualityReport:
         """Return a :class:`QualityReport` with congestion, dilation and sizes."""
+        inputs = self._kernel_inputs()
         return QualityReport(
-            congestion=self.congestion(),
-            dilation=self.dilation(exact=exact_dilation, rng=rng),
+            congestion=int(self._edge_load_array(inputs).max(initial=0)),
+            dilation=max(self._part_dilations(range(self.num_parts), exact_dilation, rng, 4,
+                                              stop=True, inputs=inputs), default=0.0),
             num_parts=self.num_parts,
             num_shortcut_edges=self.total_shortcut_edges(),
             max_part_shortcut_edges=max((len(s) for s in self._subgraph_ids), default=0),
@@ -346,3 +367,90 @@ class Shortcut:
             f"Shortcut(num_parts={self.num_parts}, "
             f"total_shortcut_edges={self.total_shortcut_edges()})"
         )
+
+
+#: Bytes of one bit-parallel BFS pass: a word per adjacency slot and vertex for
+#: each 64 sources.  More sources (exact dilation) run in several passes.
+_PASS_BYTES = 1 << 22
+
+
+def _flatten(groups) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate integer collections; also return each value's group index."""
+    sizes = [len(g) for g in groups]
+    return (np.fromiter(chain.from_iterable(groups), np.int64, sum(sizes)),
+            np.repeat(np.arange(len(sizes)), sizes))
+
+
+def _spread(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Expand row ``r`` into ``first[r], ..., first[r] + count[r] - 1``;
+    returns ``(row, value)`` with one entry per expanded value."""
+    row = np.repeat(np.arange(len(first)), count)
+    return row, first[row] + np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+
+
+def _column_words(lo: np.ndarray, hi: np.ndarray):
+    """Split each column range ``[lo[r], hi[r])`` at 64-bit word boundaries:
+    ``(row, word, bits)`` with ``bits`` the range's mask inside ``word``."""
+    row, word = _spread(lo >> 6, ((hi - 1) >> 6) - (lo >> 6) + 1)
+    a = np.maximum(lo[row] - (word << 6), 0).astype(np.uint64)
+    b = np.minimum(hi[row] - (word << 6), 64).astype(np.uint64)
+    return row, word, (~np.uint64(0) >> (np.uint64(64) - b + a)) << a
+
+
+def _columns_set(words: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of the columns ``< k`` with a bit set in any row."""
+    union = np.bitwise_or.reduce(words, axis=0).astype("<u8", copy=False)
+    return np.unpackbits(union.view(np.uint8), bitorder="little")[:k].astype(bool)
+
+
+def _bit_parallel_bfs(arrays, labels, entry_ids, entry_parts, src, column_part,
+                      num_parts: int) -> np.ndarray:
+    """One BFS pass with one bit column per source: column ``c`` starts at
+    ``src[c]`` and crosses only the edges of ``G[S_p] ∪ H_p`` for
+    ``p = column_part[c]``.  Returns every column's eccentricity over
+    ``S_p`` (``inf`` if a vertex of ``S_p`` is unreached)."""
+    n, k, width = len(labels), len(src), (len(src) + 63) >> 6
+    lo = np.searchsorted(column_part, np.arange(num_parts))
+    hi = np.searchsorted(column_part, np.arange(num_parts), side="right")
+    # Part p's columns are the pieces (word, bits)[first[p]:first[p] + count[p]].
+    present = np.flatnonzero(hi > lo)
+    row, word, bits = _column_words(lo[present], hi[present])
+    count = np.zeros(len(hi), dtype=np.int64)
+    count[present] = np.bincount(row, minlength=len(present))
+    first = np.cumsum(count) - count
+
+    def pieces(of_part):
+        take = np.flatnonzero(count[of_part])
+        at, piece = _spread(first[of_part[take]], count[of_part[take]])
+        return take[at], word[piece], bits[piece]
+
+    # allow[s]: the columns whose augmented subgraph holds slot s's edge.
+    at, w, b = pieces(entry_parts)
+    by_edge = np.zeros((len(arrays.edge_u), width), dtype=np.uint64)
+    np.bitwise_or.at(by_edge, (entry_ids[at], w), b)
+    allow = by_edge[arrays.edge_ids]
+    live = np.flatnonzero(allow.any(axis=1))
+    allow, nbr, owner = allow[live], arrays.indices[live], arrays.rows[live]
+    seg = np.flatnonzero(np.diff(owner, prepend=-1))
+    # target[v]: the columns whose part holds v.
+    vert = np.flatnonzero(labels >= 0)
+    at, w, b = pieces(labels[vert])
+    target = np.zeros((n, width), dtype=np.uint64)
+    target[vert[at], w] = b
+    col = np.arange(k)
+    seen = np.zeros((n, width), dtype=np.uint64)
+    np.bitwise_or.at(seen, (src, col >> 6), np.uint64(1) << (col & 63).astype(np.uint64))
+    front, ecc, depth = seen.copy(), np.zeros(k), 0
+    while len(seg):
+        gathered = front[nbr]
+        gathered &= allow
+        front = np.zeros_like(seen)
+        front[owner[seg]] = np.bitwise_or.reduceat(gathered, seg, axis=0)
+        front &= ~seen
+        if not front.any():
+            break
+        depth += 1
+        seen |= front
+        ecc[_columns_set(front & target, k)] = depth
+    ecc[_columns_set(target & ~seen, k)] = np.inf
+    return ecc

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..graphs.traversal import INFINITY
+from ..rng import RandomLike
 from .shortcut import Shortcut
 
 
@@ -44,6 +45,7 @@ def verify_shortcut(
     max_congestion: Optional[float] = None,
     max_dilation: Optional[float] = None,
     exact_dilation: bool = True,
+    rng: RandomLike = None,
 ) -> VerificationResult:
     """Verify a shortcut structurally and, optionally, against quality bounds.
 
@@ -60,20 +62,21 @@ def verify_shortcut(
         max_dilation: optional dilation budget.
         exact_dilation: measure dilation exactly (pass ``False`` for the
             cheaper 2-approximation on large instances).
+        rng: randomness for the sampled sources of the 2-approximation;
+            pass a seed for a reproducible result.
 
     Returns:
         A :class:`VerificationResult`; ``violations`` lists every failure.
     """
     violations: list[str] = []
 
-    dilation = 0.0
-    for i in range(shortcut.num_parts):
-        part_dil = shortcut.part_dilation(i, exact=exact_dilation)
+    part_dilations = shortcut.part_dilations(exact=exact_dilation, rng=rng)
+    for i, part_dil in enumerate(part_dilations):
         if part_dil == INFINITY:
             violations.append(
                 f"part {i} is disconnected inside its augmented subgraph"
             )
-        dilation = max(dilation, part_dil)
+    dilation = max(part_dilations, default=0.0)
 
     congestion = shortcut.congestion()
 
@@ -100,16 +103,18 @@ def is_valid_shortcut(
     max_congestion: Optional[float] = None,
     max_dilation: Optional[float] = None,
     exact_dilation: bool = True,
+    rng: RandomLike = None,
 ) -> bool:
     """Return ``True`` if :func:`verify_shortcut` reports no violations.
 
-    ``exact_dilation`` is forwarded to :func:`verify_shortcut`, so
-    large-instance callers can opt into the cheap 2-approximation instead
-    of the all-pairs measurement.
+    ``exact_dilation`` and ``rng`` are forwarded to :func:`verify_shortcut`,
+    so large-instance callers can opt into the cheap, seeded
+    2-approximation instead of the all-pairs measurement.
     """
     return verify_shortcut(
         shortcut,
         max_congestion=max_congestion,
         max_dilation=max_dilation,
         exact_dilation=exact_dilation,
+        rng=rng,
     ).valid

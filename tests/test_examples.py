@@ -36,6 +36,8 @@ def test_distributed_construction_example():
     out = run_example("distributed_construction.py")
     assert "known diameter" in out
     assert "spanning verification      : True" in out
+    # Every random choice, the sampled quality report's included, is seeded.
+    assert run_example("distributed_construction.py") == out
 
 
 def test_reproduce_experiments_single():

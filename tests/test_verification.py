@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from repro.analysis.experiments import make_workload
 from repro.graphs import cycle_graph, path_graph
 from repro.shortcuts import (
     Partition,
     Shortcut,
+    build_kogan_parter_shortcut,
     is_valid_shortcut,
     verify_shortcut,
 )
@@ -60,6 +62,34 @@ class TestVerifyShortcut:
         assert result.valid
         assert result.dilation <= 5
 
+    def test_sampled_dilation_is_reproducible_from_a_seed(self):
+        w = make_workload("hub", 400, 6, seed=2)
+        sc = build_kogan_parter_shortcut(w.graph, w.partition, diameter_value=6, rng=2).shortcut
+        first = verify_shortcut(sc, exact_dilation=False, rng=11)
+        second = verify_shortcut(sc, exact_dilation=False, rng=11)
+        assert first.dilation == second.dilation
+        assert first.dilation == max(
+            sc.part_dilation(i, exact=False, rng=11) for i in range(sc.num_parts)
+        )
+        assert is_valid_shortcut(sc, exact_dilation=False, rng=11)
+
+    def test_one_kernel_call_and_one_violation_per_disconnected_part(self, monkeypatch):
+        g = path_graph(12)
+        p = Partition(g, [{0, 2}, {4, 5}, {7, 10}], validate=False)
+        sc = Shortcut(p, [[], [], [(7, 8)]])
+
+        def per_part(*args, **kwargs):
+            raise AssertionError("verify_shortcut must not loop over part_dilation")
+
+        monkeypatch.setattr(Shortcut, "part_dilation", per_part)
+        for exact in (True, False):
+            result = verify_shortcut(sc, exact_dilation=exact, rng=3)
+            assert result.violations == [
+                "part 0 is disconnected inside its augmented subgraph",
+                "part 2 is disconnected inside its augmented subgraph",
+            ]
+            assert result.dilation == float("inf")
+
 
 class TestIsValidShortcut:
     def test_true_case(self):
@@ -84,10 +114,11 @@ class TestIsValidShortcut:
 
         verification.verify_shortcut, saved = spy, verification.verify_shortcut
         try:
-            assert is_valid_shortcut(sc, exact_dilation=False)
+            assert is_valid_shortcut(sc, exact_dilation=False, rng=7)
         finally:
             verification.verify_shortcut = saved
         assert calls["exact_dilation"] is False
+        assert calls["rng"] == 7
 
     def test_exact_dilation_default_still_exact(self):
         assert is_valid_shortcut(make_simple_shortcut(), exact_dilation=True)
